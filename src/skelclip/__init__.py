@@ -56,11 +56,12 @@ from .multitask import (
     TaskScores,
     TrainConfig,
     backward,
-    baseline_forward,
     forward,
     load_checkpoint,
+    mode_inputs,
     predict,
     predict_multi_sample,
+    predict_proba,
     save_checkpoint,
     task_loss,
     total_loss,

@@ -33,13 +33,7 @@ from .features import (
     stack_time_step_features,
 )
 from .layouts import load_layout
-from .multitask import (
-    TrainConfig,
-    baseline_inputs,
-    load_checkpoint,
-    predict_multi_sample,
-    save_checkpoint,
-)
+from .multitask import TrainConfig, load_checkpoint, mode_inputs, predict_proba, save_checkpoint
 from .skeleton_io import load_sequences, parse_manifest, write_canonical, write_manifest
 from .synthetic import SynthConfig, generate_synthetic
 from .tensorio import read_tensor, write_tensor
@@ -191,17 +185,8 @@ def _cmd_predict(args) -> int:
         feats = read_tensor(path).astype(np.float64)
         if scaler is not None:
             feats = scaler.apply(feats)
-        inputs = [
-            baseline_inputs(mode, feats, i if mode == "frame" else None)
-            for i in range(len(ordered))
-        ]
-        probs = np.mean(
-            [
-                predict_multi_sample(m, [inp])[1]
-                for m, inp in zip(ordered, inputs)
-            ],
-            axis=0,
-        )
+        nets = zip(ordered, mode_inputs(mode, feats[None]), strict=True)
+        probs = np.mean([predict_proba(m, x)[0] for m, x in nets], axis=0)
         name = path.name[: -len(".feat.sktf")]
         print(f"{name} {int(np.argmax(probs))}")
     return 0

@@ -204,7 +204,7 @@ def generate_clips(seq: SkeletonSequence, options: ClipOptions = ClipOptions()) 
     return ClipSet(clips=tuple(clips), channels=channels)
 
 
-def augment_crops(cs: ClipSet, n: int, seed: int) -> list[ClipSet]:
+def augment_crops(cs: ClipSet, n: int, seed: int | np.random.SeedSequence) -> list[ClipSet]:
     """n cropped variants: frames resized to 250x250, one (dx, dy) offset in
     [0, 26]^2 drawn per variant and applied to all 12 frames."""
     if n < 1:

@@ -34,10 +34,6 @@ def read_kv(path: str | Path) -> dict[str, str]:
     return parse_kv(Path(path).read_text(encoding="utf-8"))
 
 
-def format_kv(pairs: dict[str, str]) -> str:
-    return "".join(f"{k} = {v}\n" for k, v in pairs.items())
-
-
 def parse_int_list(value: str) -> list[int]:
     """Comma-separated integers; ``a-b`` expands to the inclusive range."""
     items: list[int] = []

@@ -11,6 +11,7 @@ the samples' class probabilities.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -20,15 +21,7 @@ import numpy as np
 from .clips import CROP_SIZE, ClipOptions, augment_crops, generate_clips
 from .errors import ParseError, StageError
 from .features import ExtractorSpec, build_time_step_features, stack_time_step_features
-from .multitask import (
-    MODES,
-    MtlnParams,
-    TASK_COUNT,
-    TrainConfig,
-    baseline_inputs,
-    predict_multi_sample,
-    train,
-)
+from .multitask import MODES, MtlnParams, TrainConfig, mode_inputs, predict_proba, train
 from .skeleton_io import DatasetManifest, SkeletonSequence, load_sequences
 
 # ---------------------------------------------------------------------------
@@ -192,17 +185,15 @@ def sequence_table_loader(
     return lambda path: table[path]
 
 
+@contextmanager
 def _stage(name: str):
-    class _Guard:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, StageError):
-                raise StageError(name, str(exc)) from exc
-            return False
-
-    return _Guard()
+    """Re-raise any failure inside the block as a StageError tagged ``name``."""
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, str(exc)) from exc
 
 
 def compute_features(
@@ -218,12 +209,12 @@ def compute_features(
             f"got size {config.clip_options.size}"
         )
     out: dict[str, dict[str, list[np.ndarray]]] = {}
-    for entry in manifest.entries:
+    for entry_index, entry in enumerate(manifest.entries):
         with _stage("load"):
             bodies = loader(entry.path)
         plain: list[np.ndarray] = []
         crops: list[np.ndarray] = []
-        for body in bodies:
+        for body_index, body in enumerate(bodies):
             with _stage("clips"):
                 cs = generate_clips(body, config.clip_options)
             with _stage("features"):
@@ -231,7 +222,11 @@ def compute_features(
                     stack_time_step_features(build_time_step_features(cs, config.extractor))
                 )
                 if config.augment_count > 0:
-                    for crop in augment_crops(cs, config.augment_count, config.augment_seed):
+                    # one offset stream per entry and body
+                    seed = np.random.SeedSequence(
+                        [config.augment_seed, entry_index, body_index]
+                    )
+                    for crop in augment_crops(cs, config.augment_count, seed):
                         crops.append(
                             stack_time_step_features(
                                 build_time_step_features(crop, config.extractor)
@@ -245,24 +240,6 @@ def compute_features(
 # Mode training and evaluation
 
 
-def _mode_task_inputs(mode: str, x: np.ndarray) -> list[np.ndarray]:
-    """(N, 4, d) -> list of per-net (N, K', d') input tensors for a mode."""
-    if mode == "mtln":
-        return [x]
-    if mode == "frame":
-        return [x[:, k:k + 1, :] for k in range(TASK_COUNT)]
-    if mode == "concat":
-        return [x.reshape(len(x), 1, -1)]
-    if mode == "maxpool":
-        return [x.max(axis=1, keepdims=True)]
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _mode_sample_input(mode: str, feats: np.ndarray, net_index: int) -> np.ndarray:
-    frame_index = net_index if mode == "frame" else None
-    return baseline_inputs(mode if mode != "frame" else "frame", feats, frame_index)
-
-
 def train_mode(
     mode: str,
     train_x: np.ndarray,
@@ -272,7 +249,7 @@ def train_mode(
 ) -> tuple[list[MtlnParams], list[list[float]]]:
     """Train the nets a mode needs (four for ``frame``, one otherwise)."""
     models, curves = [], []
-    for i, inputs in enumerate(_mode_task_inputs(mode, train_x)):
+    for i, inputs in enumerate(mode_inputs(mode, train_x)):
         net_cfg = replace(cfg, mode=mode, seed=cfg.seed + i)
         params, curve = train(inputs, net_cfg, n_classes, labels=train_y)
         models.append(params)
@@ -288,15 +265,23 @@ def evaluate_mode(
 ) -> tuple[float, list[np.ndarray]]:
     """Accuracy and per-net confusion matrices over grouped test samples.
 
-    Each group is one recording: (label, feature arrays of its samples).
-    The frame baseline reports the mean of its four nets' accuracies.
+    Each group is one recording: (label, feature arrays of its samples),
+    scored by the mean of its samples' probabilities. The frame baseline
+    reports the mean of its four nets' accuracies.
     """
-    confusions = [np.zeros((n_classes, n_classes), dtype=np.int64) for _ in models]
-    for label, samples in test_groups:
-        for i, params in enumerate(models):
-            inputs = [_mode_sample_input(mode, f, i) for f in samples]
-            pred, _ = predict_multi_sample(params, inputs)
-            confusions[i][label, pred] += 1
+    sizes = [len(samples) for _, samples in test_groups]
+    if 0 in sizes:
+        raise ValueError("every test group needs at least one sample")
+    labels = np.array([label for label, _ in test_groups], dtype=np.intp)
+    x = np.stack([f for _, samples in test_groups for f in samples])
+    bounds = np.cumsum(sizes)[:-1]
+    confusions = []
+    for params, inputs in zip(models, mode_inputs(mode, x), strict=True):
+        probs = predict_proba(params, inputs)
+        preds = [int(np.argmax(p.mean(axis=0))) for p in np.split(probs, bounds)]
+        confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
+        np.add.at(confusion, (labels, preds), 1)
+        confusions.append(confusion)
     accs = [np.trace(c) / c.sum() for c in confusions]
     return float(np.mean(accs)), confusions
 

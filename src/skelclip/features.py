@@ -208,13 +208,24 @@ def builtin_extract(frame: GrayFrame, spec: ExtractorSpec = ExtractorSpec()) -> 
     return FeatureMaps(maps=_extract_batch(x, spec)[0])
 
 
+def _pool(maps: np.ndarray) -> np.ndarray:
+    """Temporal mean pooling of (..., H, W, C) activations: the mean of the
+    rectified values over the row (time) axis, concatenated map-major into
+    (..., W*C): all W columns of map 1, then map 2, ..."""
+    pooled = np.maximum(maps, 0.0).mean(axis=-3)  # (..., W, C)
+    return np.swapaxes(pooled, -1, -2).reshape(*pooled.shape[:-2], -1)
+
+
 def temporal_mean_pool(fm: FeatureMaps) -> PooledFeature:
-    """Mean of rectified activations over the row (time) axis per map,
-    concatenated map-major: all W columns of map 1, then map 2, ..."""
-    rectified = np.maximum(fm.maps, 0.0)
-    pooled = rectified.mean(axis=0)  # (W, C)
-    w, c = pooled.shape
-    return PooledFeature(values=pooled.T.reshape(w * c), dims=(w, c))
+    """Pool one frame's H x W x C maps into a W*C vector (see ``_pool``)."""
+    _, w, c = fm.maps.shape
+    return PooledFeature(values=_pool(fm.maps), dims=(w, c))
+
+
+def _time_step_features(pooled: np.ndarray) -> list[TimeStepFeature]:
+    """(3 channels, 4 time-steps, n) pooled frames -> four vectors of length
+    3n, channel blocks in clip order."""
+    return [TimeStepFeature(values=pooled[:, r].reshape(-1), time_step=r) for r in range(4)]
 
 
 def build_time_step_features(
@@ -231,13 +242,7 @@ def build_time_step_features(
     h, wd = frames.shape[2], frames.shape[3]
     batch = frames.reshape(12, h, wd, 1).astype(np.float64) / 255.0
     maps = _extract_batch(batch, spec)  # (12, H', W', C)
-    pooled = np.maximum(maps, 0.0).mean(axis=1)  # (12, W', C)
-    n = pooled.shape[1] * pooled.shape[2]
-    flat = pooled.transpose(0, 2, 1).reshape(3, 4, n)  # map-major per frame
-    return [
-        TimeStepFeature(values=np.concatenate([flat[0, r], flat[1, r], flat[2, r]]), time_step=r)
-        for r in range(4)
-    ]
+    return _time_step_features(_pool(maps).reshape(3, 4, -1))
 
 
 def build_color_clip_features(
@@ -249,10 +254,9 @@ def build_color_clip_features(
         raise ValueError("color-clip extraction needs a spec with in_channels=3")
     frames = cs.as_array()  # (3, 4, H, W)
     batch = frames.transpose(1, 2, 3, 0).astype(np.float64) / 255.0  # (4, H, W, 3)
-    maps = _extract_batch(batch, spec)
-    pooled = np.maximum(maps, 0.0).mean(axis=1)  # (4, W', C)
-    w, c = pooled.shape[1], pooled.shape[2]
-    return [PooledFeature(values=pooled[r].T.reshape(w * c), dims=(w, c)) for r in range(4)]
+    maps = _extract_batch(batch, spec)  # (4, H', W', C)
+    dims = (maps.shape[2], maps.shape[3])
+    return [PooledFeature(values=v, dims=dims) for v in _pool(maps)]
 
 
 def stack_time_step_features(features: list[TimeStepFeature]) -> np.ndarray:
@@ -286,15 +290,10 @@ def load_feature_map_stack(path: str | Path) -> list[TimeStepFeature]:
     """Ingest a precomputed (3, 4, H, W, C) feature-map stack for one sequence
     and pool it into the four time-step features."""
     arr = read_tensor(path)
-    if arr.ndim != 5 or arr.shape[:2] != (3, 4):
+    if arr.ndim != 5 or arr.shape[:2] != (3, 4) or min(arr.shape) < 1:
         raise TensorFormatError(
             f"feature-map stack must have shape (3, 4, H, W, C), got {arr.shape}"
         )
     if not np.isfinite(arr).all():
         raise TensorFormatError("feature-map stack contains non-finite values")
-    out = []
-    for r in range(4):
-        parts = [temporal_mean_pool(FeatureMaps(maps=arr[c, r].astype(np.float64))).values
-                 for c in range(3)]
-        out.append(TimeStepFeature(values=np.concatenate(parts), time_step=r))
-    return out
+    return _time_step_features(_pool(arr.astype(np.float64)))

@@ -98,15 +98,25 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _as_batch(params: MtlnParams, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3 or x.shape[2] != params.input_dim:
+        raise ValueError(f"features must be (N, K, {params.input_dim}), got {x.shape}")
+    return x
+
+
+def _forward_batch(params: MtlnParams, x: np.ndarray):
+    b, k, d = x.shape
+    flat = x.reshape(b * k, d)
+    pre = flat @ params.W1 + params.b1
+    hidden = np.maximum(pre, 0.0)
+    z = hidden @ params.W2 + params.b2
+    return flat, pre, hidden, z.reshape(b, k, -1)
+
+
 def forward(params: MtlnParams, features: np.ndarray) -> TaskScores:
     """Apply the shared network to each row of a (K, d) feature array."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != params.input_dim:
-        raise ValueError(
-            f"features must be (K, {params.input_dim}), got {features.shape}"
-        )
-    hidden = np.maximum(features @ params.W1 + params.b1, 0.0)
-    z = hidden @ params.W2 + params.b2
+    z = _forward_batch(params, _as_batch(params, np.asarray(features)[None]))[3][0]
     return TaskScores(z=z, probabilities=softmax(z))
 
 
@@ -140,58 +150,54 @@ class Gradients:
     b2: np.ndarray
 
 
-def backward(params: MtlnParams, features: np.ndarray, y: np.ndarray) -> Gradients:
-    """Analytic gradient of the summed task losses w.r.t. the shared params.
-
-    Softmax cross-entropy delta is softmax(z_k) - y per task; the per-task
-    contributions accumulate into the shared parameters. The ReLU
-    subgradient at exactly 0 is taken as 0.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    scores = forward(params, features)
-    _check_one_hot(y, params.class_count)
-    pre = features @ params.W1 + params.b1
-    hidden = np.maximum(pre, 0.0)
-    delta = scores.probabilities - np.asarray(y, dtype=np.float64)[None, :]  # (K, n)
+def _gradients(params: MtlnParams, flat, pre, hidden, delta: np.ndarray) -> Gradients:
+    """Backpropagate per-row logit deltas (softmax minus one-hot) through the
+    shared network; rows are the (sample, task) pairs of ``_forward_batch``.
+    The ReLU subgradient at exactly 0 is taken as 0."""
     g_hidden = (delta @ params.W2.T) * (pre > 0)
     return Gradients(
-        W1=features.T @ g_hidden,
+        W1=flat.T @ g_hidden,
         b1=g_hidden.sum(axis=0),
         W2=hidden.T @ delta,
         b2=delta.sum(axis=0),
     )
 
 
-# ---------------------------------------------------------------------------
-# Baseline input transforms
+def backward(params: MtlnParams, features: np.ndarray, y: np.ndarray) -> Gradients:
+    """Analytic gradient of the summed task losses w.r.t. the shared params.
 
-
-def baseline_inputs(mode: str, features: np.ndarray, frame_index: int | None = None) -> np.ndarray:
-    """Map a (4, d) feature array to the task inputs of a mode.
-
-    mtln keeps all four tasks; frame selects one time-step; concat joins the
-    four vectors in time-step order; maxpool takes their elementwise maximum.
+    Softmax cross-entropy delta is softmax(z_k) - y per task; the per-task
+    contributions accumulate into the shared parameters.
     """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] != TASK_COUNT:
-        raise ValueError(f"features must be ({TASK_COUNT}, d), got {features.shape}")
+    _check_one_hot(y, params.class_count)
+    flat, pre, hidden, z = _forward_batch(params, _as_batch(params, np.asarray(features)[None]))
+    delta = softmax(z[0]) - np.asarray(y, dtype=np.float64)[None, :]  # (K, n)
+    return _gradients(params, flat, pre, hidden, delta)
+
+
+# ---------------------------------------------------------------------------
+# Mode inputs
+
+
+def mode_inputs(mode: str, x: np.ndarray) -> list[np.ndarray]:
+    """Map (N, 4, d) time-step features to one (N, K', d') input array per net.
+
+    mtln feeds all four tasks to one net; frame gives each of four nets one
+    time-step; concat joins the four vectors in time-step order; maxpool
+    takes their elementwise maximum.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3 or x.shape[1] != TASK_COUNT:
+        raise ValueError(f"features must be (N, {TASK_COUNT}, d), got {x.shape}")
     if mode == "mtln":
-        return features
+        return [x]
     if mode == "frame":
-        if frame_index is None or not 0 <= frame_index < TASK_COUNT:
-            raise ValueError("frame mode needs frame_index in 0..3")
-        return features[frame_index:frame_index + 1]
+        return [x[:, k:k + 1, :] for k in range(TASK_COUNT)]
     if mode == "concat":
-        return features.reshape(1, -1)
+        return [x.reshape(len(x), 1, -1)]
     if mode == "maxpool":
-        return features.max(axis=0, keepdims=True)
+        return [x.max(axis=1, keepdims=True)]
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def baseline_forward(
-    mode: str, params: MtlnParams, features: np.ndarray, frame_index: int | None = None
-) -> TaskScores:
-    return forward(params, baseline_inputs(mode, features, frame_index))
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +214,6 @@ def init_params(d: int, hidden: int, n_classes: int, rng: np.random.Generator) -
         W2=rng.uniform(-a2, a2, size=(hidden, n_classes)),
         b2=np.zeros(n_classes),
     )
-
-
-def _forward_batch(params: MtlnParams, x: np.ndarray):
-    b, k, d = x.shape
-    flat = x.reshape(b * k, d)
-    pre = flat @ params.W1 + params.b1
-    hidden = np.maximum(pre, 0.0)
-    z = hidden @ params.W2 + params.b2
-    return flat, pre, hidden, z.reshape(b, k, -1)
 
 
 def _batch_mean_loss(z: np.ndarray, labels: np.ndarray) -> float:
@@ -285,11 +282,15 @@ def train(
 
             probs = softmax(z.reshape(b * k, -1))
             delta = (probs - np.repeat(onehot[yb], k, axis=0)) / b
-            g_hidden = (delta @ params.W2.T) * (pre > 0)
-            params.W2 -= cfg.learning_rate * (hidden.T @ delta)
-            params.b2 -= cfg.learning_rate * delta.sum(axis=0)
-            params.W1 -= cfg.learning_rate * (flat.T @ g_hidden)
-            params.b1 -= cfg.learning_rate * g_hidden.sum(axis=0)
+            grads = _gradients(params, flat, pre, hidden, delta)
+            # scaled in place and dropped before the next batch: lr * grad, or
+            # grads kept alive into the next _gradients call, would hold a
+            # second (d, h) array and raise peak memory
+            for param, grad in ((params.W2, grads.W2), (params.b2, grads.b2),
+                                (params.W1, grads.W1), (params.b1, grads.b1)):
+                grad *= cfg.learning_rate
+                param -= grad
+            del grads
         curve.append(epoch_loss / n_samples)
     return params, curve
 
@@ -298,10 +299,16 @@ def train(
 # Prediction
 
 
+def predict_proba(params: MtlnParams, x: np.ndarray) -> np.ndarray:
+    """Class probabilities (N, n_classes) of an (N, K, d) batch: each
+    sample's K task softmaxes averaged."""
+    _, _, _, z = _forward_batch(params, _as_batch(params, x))
+    return softmax(z).mean(axis=1)
+
+
 def predict(params: MtlnParams, features: np.ndarray) -> tuple[int, np.ndarray]:
     """Average the tasks' softmax probabilities; ties break to the lowest index."""
-    scores = forward(params, features)
-    probs = scores.probabilities.mean(axis=0)
+    probs = predict_proba(params, np.asarray(features)[None])[0]
     return int(np.argmax(probs)), probs
 
 
@@ -312,9 +319,7 @@ def predict_multi_sample(
     tasks), e.g. the two skeletons of an interaction or augmentation crops."""
     if len(sample_features) == 0:
         raise ValueError("need at least one sample")
-    probs = np.mean(
-        [forward(params, f).probabilities.mean(axis=0) for f in sample_features], axis=0
-    )
+    probs = predict_proba(params, np.stack(sample_features)).mean(axis=0)
     return int(np.argmax(probs)), probs
 
 

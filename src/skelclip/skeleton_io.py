@@ -219,11 +219,13 @@ def parse_canonical(
     for frame in frames:
         for joint in frame:
             if not (isinstance(joint, list) and len(joint) == 3
-                    and all(isinstance(v, (int, float)) for v in joint)
+                    and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                            for v in joint)
                     and all(math.isfinite(v) for v in joint)):
                 raise ParseError(f"bad joint entry {joint!r}")
     label = doc["label"]
-    if label is not None and not isinstance(label, int):
+    # bool is an int subclass; JSON true/false is not a number here
+    if label is not None and (isinstance(label, bool) or not isinstance(label, int)):
         raise ParseError(f"label must be an integer or null, got {label!r}")
     try:
         return SkeletonSequence(

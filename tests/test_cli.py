@@ -97,6 +97,41 @@ def test_train_and_predict(synth_dir, feature_dir, tmp_path, capsys):
         assert cls in ("0", "1")
 
 
+@pytest.mark.parametrize("mode", ["mtln", "frame"])
+def test_predict_matches_in_memory_models(mode, synth_dir, feature_dir, tmp_path, capsys):
+    # the checkpoint stores f32 weights, so classes, not probabilities, must match
+    from skelclip import FeatureScaler, TrainConfig, load_layout, parse_manifest, predict
+    from skelclip.experiments import train_mode
+
+    model = tmp_path / "model.sktf"
+    assert run_cli(
+        "train", "--features", feature_dir, "--manifest", synth_dir / "manifest.txt",
+        "--mode", mode, "--epochs", 10, "--lr", 0.05, "--batch", 8,
+        "--hidden", 16, "--seed", 2, "--out", model,
+    ) == 0
+    capsys.readouterr()
+    assert run_cli("predict", "--model", model, "--features", feature_dir) == 0
+    printed = dict(line.split() for line in capsys.readouterr().out.splitlines())
+
+    manifest = parse_manifest((synth_dir / "manifest.txt").read_text(),
+                              load_layout("figure2-16"))
+    stems = [e.path[: -len(".json")] for e in manifest.entries]
+    x = np.stack([read_tensor(feature_dir / f"{s}.feat.sktf") for s in stems]).astype(float)
+    scaler = FeatureScaler.fit(x)
+    cfg = TrainConfig(learning_rate=0.05, batch_size=8, epochs=10, seed=2, mode=mode,
+                      hidden=16)
+    y = np.array([e.label for e in manifest.entries])
+    models, _ = train_mode(mode, scaler.apply(x), y, cfg, manifest.class_count)
+    for stem, feats in zip(stems, scaler.apply(x)):
+        if mode == "frame":
+            probs = np.mean([predict(m, feats[k:k + 1])[1] for k, m in enumerate(models)],
+                            axis=0)
+        else:
+            probs = predict(models[0], feats)[1]
+        assert printed[stem] == str(int(np.argmax(probs)))
+    assert len(printed) == len(stems)
+
+
 def test_train_frame_mode_checkpoint(synth_dir, feature_dir, tmp_path):
     model = tmp_path / "model.sktf"
     assert run_cli(

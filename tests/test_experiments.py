@@ -342,6 +342,71 @@ def test_multi_body_recordings_average_scores(fig16, tiny_protocol):
     assert report.mode("mtln").confusions[0].sum() == 6  # one prediction per recording
 
 
+def test_crop_offsets_differ_between_entries(fig16, make_sequence, rng, monkeypatch):
+    # two entries (one of them two-body) holding the same skeleton: each
+    # entry and body draws its own crop offsets from the one augment_seed
+    import skelclip.experiments as experiments
+    from skelclip import TimeStepFeature
+
+    seq = make_sequence(fig16, 8, rng)
+    manifest = DatasetManifest(
+        entries=[ManifestEntry("a.json", label=0), ManifestEntry("b.json", label=0)],
+        class_count=2,
+        layout=fig16,
+    )
+    table = {"a.json": [seq], "b.json": [seq, seq]}
+
+    def pixels_as_features(cs, spec):
+        frames = cs.as_array().astype(np.float64)  # (3, 4, S, S)
+        return [TimeStepFeature(values=frames[:, r].ravel(), time_step=r) for r in range(4)]
+
+    monkeypatch.setattr(experiments, "build_time_step_features", pixels_as_features)
+    config = PipelineConfig(augment_count=3, augment_seed=3)
+    out = experiments.compute_features(manifest, lambda p: table[p], config)
+    a, b0, b1 = out["a.json"]["crops"], out["b.json"]["crops"][:3], out["b.json"]["crops"][3:]
+    assert len(a) == len(b0) == len(b1) == 3
+    for one, other in ((a, b0), (a, b1), (b0, b1)):
+        assert not all(np.array_equal(x, y) for x, y in zip(one, other))
+    again = experiments.compute_features(manifest, lambda p: table[p], config)
+    assert all(np.array_equal(x, y) for x, y in zip(a, again["a.json"]["crops"]))
+
+
+@pytest.mark.parametrize("mode", ["mtln", "frame", "concat", "maxpool"])
+def test_evaluate_mode_matches_per_recording_loop(mode, rng):
+    # oracle: one predict_multi_sample call per recording and net, on groups
+    # of one and two samples (two bodies or test crops)
+    from skelclip import MtlnParams, mode_inputs, predict_multi_sample
+    from skelclip.experiments import evaluate_mode
+
+    d, n_classes = 5, 4
+    groups = [
+        (int(rng.integers(n_classes)),
+         [rng.standard_normal((4, d)) * 3.0 for _ in range(1 + i % 2)])
+        for i in range(40)
+    ]
+    in_dim = 4 * d if mode == "concat" else d
+    models = [
+        MtlnParams(W1=rng.standard_normal((in_dim, 8)), b1=np.zeros(8),
+                   W2=rng.standard_normal((8, n_classes)), b2=np.zeros(n_classes))
+        for _ in range(4 if mode == "frame" else 1)
+    ]
+    acc, confusions = evaluate_mode(mode, models, groups, n_classes)
+
+    expect = [np.zeros((n_classes, n_classes), dtype=np.int64) for _ in models]
+    for label, samples in groups:
+        per_net = mode_inputs(mode, np.stack(samples))
+        for i, params in enumerate(models):
+            pred, _ = predict_multi_sample(params, list(per_net[i]))
+            expect[i][label, pred] += 1
+    assert len(confusions) == len(expect)
+    for got, want in zip(confusions, expect):
+        assert np.array_equal(got, want)
+    assert acc == np.mean([np.trace(c) / c.sum() for c in expect])
+    assert any(np.count_nonzero(c.sum(axis=0)) > 1 for c in expect)  # not one class
+    with pytest.raises(ValueError, match="at least one sample"):
+        evaluate_mode(mode, models, groups + [(0, [])], n_classes)
+
+
 # ---------------------------------------------------------------------------
 # report rendering
 

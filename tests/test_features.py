@@ -360,10 +360,17 @@ def test_feature_map_stack_pooling(tmp_path, rng):
             [pool_oracle(stack[c, r].astype(np.float64)) for c in range(3)]
         )
         assert np.abs(f.values - expect).max() <= 1e-12
+        # pooling the whole stack at once matches pooling map by map exactly
+        per_map = [temporal_mean_pool(FeatureMaps(maps=stack[c, r].astype(np.float64))).values
+                   for c in range(3)]
+        assert np.array_equal(f.values, np.concatenate(per_map))
 
 
 def test_feature_map_stack_bad_shape(tmp_path, rng):
     path = tmp_path / "s.fmaps.sktf"
     write_tensor(path, rng.random((4, 3, 6, 5, 2)).astype(np.float32))
+    with pytest.raises(TensorFormatError, match=r"\(3, 4"):
+        load_feature_map_stack(path)
+    write_tensor(path, np.zeros((3, 4, 0, 5, 2), dtype=np.float32))
     with pytest.raises(TensorFormatError, match=r"\(3, 4"):
         load_feature_map_stack(path)

@@ -6,17 +6,18 @@ from skelclip import (
     TrainConfig,
     TrainingDivergedError,
     backward,
-    baseline_forward,
     forward,
     load_checkpoint,
+    mode_inputs,
     predict,
     predict_multi_sample,
+    predict_proba,
     save_checkpoint,
     task_loss,
     total_loss,
     train,
 )
-from skelclip.multitask import baseline_inputs, init_params
+from skelclip.multitask import init_params
 
 
 def make_params(d, h, n, rng, scale=0.5):
@@ -211,33 +212,45 @@ def test_gradient_identical_features_is_four_times_single(rng):
 # baselines
 
 
-def test_baseline_inputs_identical_features(rng):
+def test_mode_inputs_identical_features(rng):
     feat = rng.standard_normal(5)
-    feats = np.tile(feat, (4, 1))
-    assert np.array_equal(baseline_inputs("concat", feats), np.tile(feat, (1, 4)))
-    assert np.array_equal(baseline_inputs("maxpool", feats), feat[None])
-    assert np.array_equal(baseline_inputs("frame", feats, 2), feat[None])
+    x = np.tile(feat, (2, 4, 1))  # (N=2, 4, d)
+    [concat] = mode_inputs("concat", x)
+    [maxpool] = mode_inputs("maxpool", x)
+    assert np.array_equal(concat, np.tile(feat, (2, 1, 4)))
+    assert np.array_equal(maxpool, np.tile(feat, (2, 1, 1)))
+    for frame in mode_inputs("frame", x):
+        assert np.array_equal(frame, np.tile(feat, (2, 1, 1)))
 
 
-def test_baseline_maxpool_dominating_vector(rng):
-    feats = rng.standard_normal((4, 6))
-    feats[2] = np.abs(feats).max() + 1.0  # dominates elementwise
-    assert np.array_equal(baseline_inputs("maxpool", feats)[0], feats[2])
+def test_mode_inputs_maxpool_dominating_vector(rng):
+    x = rng.standard_normal((3, 4, 6))
+    x[:, 2] = np.abs(x).max() + 1.0  # dominates elementwise
+    [maxpool] = mode_inputs("maxpool", x)
+    assert np.array_equal(maxpool[:, 0], x[:, 2])
 
 
-def test_baseline_forward_shapes(rng):
-    feats = rng.standard_normal((4, 5))
-    p_frame = make_params(5, 4, 3, rng)
-    p_concat = make_params(20, 4, 3, rng)
-    assert baseline_forward("frame", p_frame, feats, frame_index=1).z.shape == (1, 3)
-    assert baseline_forward("concat", p_concat, feats).z.shape == (1, 3)
-    assert baseline_forward("maxpool", p_frame, feats).z.shape == (1, 3)
-
-
-def test_baseline_concat_dim_mismatch(rng):
-    p_frame = make_params(5, 4, 3, rng)
+def test_mode_inputs_shapes(rng):
+    x = rng.standard_normal((3, 4, 5))
+    assert [a.shape for a in mode_inputs("mtln", x)] == [(3, 4, 5)]
+    assert [a.shape for a in mode_inputs("frame", x)] == [(3, 1, 5)] * 4
+    assert [a.shape for a in mode_inputs("concat", x)] == [(3, 1, 20)]
+    assert [a.shape for a in mode_inputs("maxpool", x)] == [(3, 1, 5)]
+    # frame net k sees time-step k; concat keeps time-step order
+    for k, frame in enumerate(mode_inputs("frame", x)):
+        assert np.array_equal(frame[:, 0], x[:, k])
+    assert np.array_equal(mode_inputs("concat", x)[0][1, 0], x[1].reshape(-1))
+    with pytest.raises(ValueError, match="unknown mode"):
+        mode_inputs("nope", x)
     with pytest.raises(ValueError):
-        baseline_forward("concat", p_frame, rng.standard_normal((4, 5)))
+        mode_inputs("mtln", x[0])  # one (4, d) sample, not a batch
+
+
+def test_mode_inputs_concat_dim_mismatch(rng):
+    p_frame = make_params(5, 4, 3, rng)
+    [concat] = mode_inputs("concat", rng.standard_normal((1, 4, 5)))
+    with pytest.raises(ValueError):
+        predict_proba(p_frame, concat)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +400,15 @@ def test_predict_multi_sample_averaging_oracle(rng):
     expect = (pa + pb) / 2
     assert np.abs(probs - expect).max() <= 1e-12
     assert cls == int(np.argmax(expect))
+
+
+def test_predict_proba_matches_per_sample_predict(rng):
+    params = make_params(6, 4, 3, rng)
+    x = rng.standard_normal((5, 4, 6))
+    probs = predict_proba(params, x)
+    assert probs.shape == (5, 3)
+    for feats, row in zip(x, probs):
+        assert np.abs(row - forward(params, feats).probabilities.mean(axis=0)).max() <= 1e-12
 
 
 def test_predict_multi_sample_empty_rejected(rng):

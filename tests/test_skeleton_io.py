@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,6 +214,17 @@ def test_canonical_missing_field_rejected():
 def test_canonical_unknown_layout():
     with pytest.raises(ParseError, match="unknown layout"):
         parse_canonical('{"layout": "nope", "label": 0, "frames": [[[0,0,0]]]}')
+
+
+@pytest.mark.parametrize("label, joint, match", [
+    (True, [0, 0, 0], "label"),
+    (0, [True, 0, 0], "joint"),
+])
+def test_canonical_boolean_rejected(label, joint, match):
+    frame = [joint] + [[0, 0, 0]] * 15
+    doc = json.dumps({"layout": "figure2-16", "label": label, "frames": [frame]})
+    with pytest.raises(ParseError, match=match):
+        parse_canonical(doc)
 
 
 @settings(max_examples=25, deadline=None)
