@@ -296,7 +296,8 @@ def run_experiment(
 ) -> EvalReport:
     """Run every requested mode through every fold of the protocol.
 
-    Features are computed once per entry and shared by all modes. When crop
+    Features are computed once per entry that some fold trains or tests on,
+    and shared by all modes; other entries are never loaded. When crop
     augmentation is enabled it applies to training samples only; test
     recordings are scored on their un-augmented representation unless
     ``test_average_crops`` is set.
@@ -309,7 +310,9 @@ def run_experiment(
 
     with _stage("split"):
         splits = make_splits(manifest, protocol, seed=split_seed)
-    features = compute_features(manifest, loader, config)
+    used = {e.path for pair in splits for side in pair for e in side.entries}
+    entries = [e for e in manifest.entries if e.path in used]
+    features = compute_features(replace(manifest, entries=entries), loader, config)
 
     results = {mode: ModeResult(mode, [], [], []) for mode in modes}
     for train_manifest, test_manifest in splits:

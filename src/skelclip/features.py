@@ -4,10 +4,11 @@ The builtin extractor stands in for a pretrained network used purely as a
 feature extractor: a fixed stack of 3x3 conv / ReLU / 2x2 max-pool stages
 whose weights are drawn once from a seeded splitmix64 generator and never
 trained. 224 x 224 inputs pass through four stages (224 -> 112 -> 56 -> 28
--> 14), ending in 14 x 14 x C feature maps. Temporal mean pooling averages
-the rectified activations of each feature map over the row (time) axis and
-concatenates the per-map results map-major into a W*C vector; with C = 512
-this is the 7168-dimensional representation of one clip frame.
+-> 14), ending in 14 x 14 x C feature maps. Batches are channel-last; each
+frame runs alone and channel-first (see ``_extract_batch``). Temporal mean
+pooling averages the rectified activations of each feature map over the row
+(time) axis and concatenates the per-map results map-major into a W*C vector;
+with C = 512 this is the 7168-dimensional representation of one clip frame.
 
 Externally computed feature maps (e.g. from a real pretrained model) can be
 ingested through the tensor files handled by ``load_feature_maps`` /
@@ -21,7 +22,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .clips import ClipSet, GrayFrame
 from .errors import TensorFormatError
@@ -167,37 +167,34 @@ def extractor_weights(spec: ExtractorSpec) -> tuple[np.ndarray, ...]:
 # Forward pass
 
 
-def _conv3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """3x3 convolution, zero padding 1, stride 1, on (B, H, W, C_in).
-
-    Patches are laid out channel-major in ascending index order and reduced
-    with one matrix product per stage.
-    """
-    b, h, wd, cin = x.shape
-    xp = np.zeros((b, h + 2, wd + 2, cin), dtype=np.float64)
-    xp[:, 1:-1, 1:-1, :] = x
-    win = sliding_window_view(xp, (3, 3), axis=(1, 2))  # (B, H, W, C_in, 3, 3)
-    col = np.ascontiguousarray(win).reshape(b * h * wd, cin * 9)
-    wmat = w.reshape(w.shape[0], cin * 9).T
-    return (col @ wmat).reshape(b, h, wd, w.shape[0])
-
-
-def _maxpool2(x: np.ndarray) -> np.ndarray:
-    b, h, w, c = x.shape
-    return x.reshape(b, h // 2, 2, w // 2, 2, c).max(axis=(2, 4))
-
-
 def _extract_batch(frames: np.ndarray, spec: ExtractorSpec) -> np.ndarray:
-    """(B, H, W, C_in) pixel batch in [0, 1] -> (B, H', W', C) activations."""
-    x = frames
-    for w in extractor_weights(spec):
-        h, wd = x.shape[1], x.shape[2]
-        if h % 2 or wd % 2 or h < 2 or wd < 2:
-            raise ValueError(
-                f"frame size {h}x{wd} not halvable through {len(spec.widths)} stages"
-            )
-        x = _maxpool2(np.maximum(_conv3x3(x, w), 0.0))
-    return x
+    """(B, H, W, C_in) pixel batch in [0, 1] -> (B, H', W', C) activations.
+
+    Frames run one at a time and channel-first, (C, H, W), so only one
+    frame's column matrix is ever resident. Each stage zero-pads the frame,
+    fills a K-major (C_in, 3, 3, H, W) column matrix with nine shifted slice
+    copies in the kernels' tap order, reduces it with one (C_out, C_in*9)
+    product, max-pools 2x2 by two elementwise maxima, then rectifies the
+    pooled quarter in place (ReLU and max commute, so this is exact).
+    """
+    weights = extractor_weights(spec)
+    out = []
+    for x in frames.transpose(0, 3, 1, 2):
+        for w in weights:
+            cin, h, wd = x.shape
+            if h % 2 or wd % 2 or h < 2 or wd < 2:
+                raise ValueError(f"frame size {h}x{wd} not halvable through {len(weights)} stages")
+            xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+            col = np.empty((cin, 3, 3, h, wd))
+            for ky, kx in np.ndindex(3, 3):
+                col[:, ky, kx] = xp[:, ky:ky + h, kx:kx + wd]
+            y = w.reshape(-1, cin * 9) @ col.reshape(cin * 9, h * wd)
+            y = y.reshape(-1, h // 2, 2, wd // 2, 2)
+            x = np.maximum(y[:, :, 0], y[:, :, 1])  # row pairs
+            x = np.maximum(x[..., 0], x[..., 1])  # column pairs
+            np.maximum(x, 0.0, out=x)
+        out.append(x.transpose(1, 2, 0))
+    return np.stack(out)
 
 
 def builtin_extract(frame: GrayFrame, spec: ExtractorSpec = ExtractorSpec()) -> FeatureMaps:

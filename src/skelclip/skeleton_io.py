@@ -223,18 +223,13 @@ def parse_canonical(
                             for v in joint)
                     and all(math.isfinite(v) for v in joint)):
                 raise ParseError(f"bad joint entry {joint!r}")
-    label = doc["label"]
-    # bool is an int subclass; JSON true/false is not a number here
-    if label is not None and (isinstance(label, bool) or not isinstance(label, int)):
-        raise ParseError(f"label must be an integer or null, got {label!r}")
+    ids = {field: doc.get(field) for field in ("label", "subject_id", "camera_id")}
+    for field, value in ids.items():
+        # bool is an int subclass; JSON true/false is not a number here
+        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ParseError(f"{field} must be an integer or null, got {value!r}")
     try:
-        return SkeletonSequence(
-            layout=layout,
-            frames=np.asarray(frames, dtype=np.float64),
-            label=label,
-            subject_id=doc.get("subject_id"),
-            camera_id=doc.get("camera_id"),
-        )
+        return SkeletonSequence(layout, np.asarray(frames, dtype=np.float64), **ids)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
@@ -269,7 +264,7 @@ def write_manifest(manifest: DatasetManifest) -> str:
 def parse_manifest(
     text: str, layout: JointLayout, class_count: int | None = None
 ) -> DatasetManifest:
-    entries = []
+    entries, first_line = [], {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -279,16 +274,21 @@ def parse_manifest(
             raise ParseError(f"expected 4 fields, got {len(fields)}", line=lineno)
         path, label, sid, cid = fields
         try:
-            entries.append(
-                ManifestEntry(
-                    path=path,
-                    label=int(label),
-                    subject_id=None if sid == "-" else int(sid),
-                    camera_id=None if cid == "-" else int(cid),
-                )
+            entry = ManifestEntry(
+                path=path,
+                label=int(label),
+                subject_id=None if sid == "-" else int(sid),
+                camera_id=None if cid == "-" else int(cid),
             )
         except ValueError:
             raise ParseError(f"malformed record {line!r}", line=lineno) from None
+        if entry.label < 0 or (class_count is not None and entry.label >= class_count):
+            raise ParseError(f"label {entry.label} out of range", line=lineno)
+        if path in first_line:
+            raise ParseError(f"duplicate path {path!r} (first on line {first_line[path]})",
+                             line=lineno)
+        first_line[path] = lineno
+        entries.append(entry)
     if not entries:
         raise ParseError("manifest contains no records")
     if class_count is None:

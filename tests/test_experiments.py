@@ -272,6 +272,32 @@ def test_memorization_bound(tiny_dataset, tiny_protocol):
     assert train_acc >= test_acc
 
 
+def test_run_experiment_skips_entries_no_split_uses(fig16, tiny_protocol):
+    # an entry whose subject is in neither ID set is never loaded, and the
+    # report matches the run on the manifest without it
+    cfg = SynthConfig(layout=fig16, n_classes=3, t_min=8, t_max=16,
+                      sigma=0.05, samples_per_class=8, seed=4)
+    manifest, seqs = generate_synthetic(cfg)
+    table = {e.path: [s] for e, s in zip(manifest.entries, seqs)}
+    unused = ManifestEntry("unused.json", label=0, subject_id=99)
+    entries = list(manifest.entries)
+    entries.insert(3, unused)
+    padded = DatasetManifest(entries=entries, class_count=3, layout=fig16)
+    calls = []
+
+    def loader(path):
+        calls.append(path)
+        return table[path]
+
+    got = run_experiment(padded, loader, tiny_protocol, tiny_pipeline(epochs=4),
+                         modes=("mtln", "frame"))
+    assert unused.path not in calls
+    assert sorted(calls) == sorted(table)
+    expect = run_experiment(manifest, lambda p: table[p], tiny_protocol,
+                            tiny_pipeline(epochs=4), modes=("mtln", "frame"))
+    assert render_results(got) == render_results(expect)
+
+
 def test_run_experiment_kfold(tiny_dataset):
     manifest, loader = tiny_dataset
     protocol = SplitProtocol(kind="k-fold", fold_count=3)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from skelclip import (
     ClipOptions,
@@ -58,6 +59,23 @@ def maxpool_oracle(x):
             for ci in range(c):
                 out[oy, ox, ci] = x[2 * oy:2 * oy + 2, 2 * ox:2 * ox + 2, ci].max()
     return out
+
+
+def nhwc_reference(x, spec):
+    """Vectorised channel-last extractor: (B, H, W, C_in) -> (B, H', W', C).
+
+    Per stage: a (B*H*W, C_in*9) im2col matrix from a sliding window view,
+    one product with the transposed kernels, full-size ReLU, then 2x2 max-pool.
+    """
+    for w in extractor_weights(spec):
+        b, h, wd, cin = x.shape
+        xp = np.zeros((b, h + 2, wd + 2, cin))
+        xp[:, 1:-1, 1:-1, :] = x
+        win = sliding_window_view(xp, (3, 3), axis=(1, 2))  # (B, H, W, C_in, 3, 3)
+        col = np.ascontiguousarray(win).reshape(b * h * wd, cin * 9)
+        y = np.maximum(col @ w.reshape(w.shape[0], cin * 9).T, 0.0)
+        x = y.reshape(b, h // 2, 2, wd // 2, 2, w.shape[0]).max(axis=(2, 4))
+    return x
 
 
 def pool_oracle(maps):
@@ -158,6 +176,37 @@ def test_two_stage_toy_matches_conv_oracle(rng):
     mid = maxpool_oracle(np.maximum(conv3x3_oracle(x, w1), 0.0))
     expect = maxpool_oracle(np.maximum(conv3x3_oracle(mid, w2), 0.0))
     assert np.abs(got - expect).max() <= 1e-10
+
+
+def test_three_stage_nonsquare_batch_matches_conv_oracle(rng):
+    # 3 frames of 8x16 through (2, 3) + 4 stages: 8x16 -> 4x8 -> 2x4 -> 1x2
+    spec = ExtractorSpec(channels=4, seed=7, stage_widths=(2, 3))
+    x = rng.random((3, 8, 16, 1))
+    got = _extract_batch(x, spec)
+    assert got.shape == (3, 1, 2, 4)
+    for frame, maps in zip(x, got):
+        expect = frame
+        for w in extractor_weights(spec):
+            expect = maxpool_oracle(np.maximum(conv3x3_oracle(expect, w), 0.0))
+        assert np.abs(maps - expect).max() <= 1e-10
+
+
+def test_frames_extract_independently(rng):
+    # a frame's maps do not depend on the other frames of its batch
+    spec = ExtractorSpec(channels=5, seed=3, stage_widths=(4,), in_channels=2)
+    x = rng.random((4, 16, 12, 2))
+    batch = _extract_batch(x, spec)
+    for i in range(4):
+        assert np.array_equal(batch[i], _extract_batch(x[i:i + 1], spec)[0])
+
+
+def test_full_size_frame_matches_nhwc_reference(rng):
+    # one 224x224 frame through the default four stages at C = 64
+    spec = ExtractorSpec(channels=64, seed=11)
+    x = rng.random((1, 224, 224, 1))
+    got = _extract_batch(x, spec)
+    assert got.shape == (1, 14, 14, 64)
+    assert np.abs(got - nhwc_reference(x, spec)).max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------

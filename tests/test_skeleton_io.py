@@ -227,6 +227,26 @@ def test_canonical_boolean_rejected(label, joint, match):
         parse_canonical(doc)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("subject_id", "seven"),
+    ("subject_id", True),
+    ("camera_id", False),
+    ("camera_id", 1.5),
+])
+def test_canonical_non_integer_ids_rejected(field, value):
+    doc = json.dumps({"layout": "figure2-16", "label": 0, field: value,
+                      "frames": [[[0, 0, 0]] * 16]})
+    with pytest.raises(ParseError, match=field):
+        parse_canonical(doc)
+
+
+def test_canonical_integer_or_null_ids_accepted():
+    doc = json.dumps({"layout": "figure2-16", "label": 0, "subject_id": 7,
+                      "camera_id": None, "frames": [[[0, 0, 0]] * 16]})
+    seq = parse_canonical(doc)
+    assert seq.subject_id == 7 and seq.camera_id is None
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     t=st.integers(1, 6),
@@ -279,3 +299,19 @@ def test_manifest_label_out_of_range(fig16):
 def test_manifest_class_count_inferred(fig16):
     m = parse_manifest("a.json 4 - -\nb.json 0 - -\n", fig16)
     assert m.class_count == 5
+
+
+@pytest.mark.parametrize("text, class_count, lineno", [
+    ("a.json 0 - -\n\nb.json -1 0 0\n", None, 3),
+    ("a.json 0 - -\nb.json 3 0 0\n", 3, 2),
+])
+def test_manifest_label_out_of_range_names_line(fig16, text, class_count, lineno):
+    with pytest.raises(ParseError, match=f"line {lineno}: label -?\\d+ out of range") as info:
+        parse_manifest(text, fig16, class_count=class_count)
+    assert info.value.line == lineno
+
+
+def test_manifest_duplicate_path_names_second_line(fig16):
+    text = "a.json 0 - -\n# comment\nb.json 1 - -\na.json 1 - -\n"
+    with pytest.raises(ParseError, match="line 4: duplicate path 'a.json' \\(first on line 1\\)"):
+        parse_manifest(text, fig16)
