@@ -5,7 +5,6 @@ with a desk-scale synthetic benchmark."""
 from .clips import (
     ClipOptions,
     ClipSet,
-    GrayFrame,
     augment_crops,
     cartesian_to_cylindrical,
     cylindrical_to_cartesian,
@@ -41,13 +40,9 @@ from .features import (
     FeatureMaps,
     PooledFeature,
     TimeStepFeature,
-    build_color_clip_features,
     build_time_step_features,
-    builtin_extract,
     load_feature_map_stack,
-    load_feature_maps,
     stack_time_step_features,
-    store_feature_maps,
     temporal_mean_pool,
 )
 from .layouts import BUILTIN_LAYOUTS, JointLayout, load_layout

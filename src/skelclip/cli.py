@@ -13,13 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .clips import ClipOptions, ClipSet, GrayFrame, generate_clips, write_pgm
+from .clips import ClipOptions, ClipSet, generate_clips, write_pgm
 from .config import parse_int_list, read_kv
 from .errors import SkelclipError, StageError
 from .experiments import (
     FeatureScaler,
     PipelineConfig,
     SplitProtocol,
+    _stage,
     directory_loader,
     render_results,
     render_table,
@@ -74,7 +75,7 @@ def _cmd_gen_clips(args) -> int:
         if args.pgm:
             for c, channel in enumerate(cs.channels):
                 for r in range(4):
-                    write_pgm(cs.clips[c][r], out / f"{stem}.{channel}.ref{r}.pgm")
+                    write_pgm(cs.pixels[c, r], out / f"{stem}.{channel}.ref{r}.pgm")
     print(f"wrote {len(bodies)} clip set(s) to {out}")
     return 0
 
@@ -83,29 +84,22 @@ def _cmd_extract(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     clip_dir = Path(args.clips)
-    count = 0
     if args.extractor == "builtin":
         spec = ExtractorSpec(channels=args.channels, seed=args.seed)
-        for path in sorted(clip_dir.glob("*.clips.sktf")):
-            arr = read_tensor(path)
-            cs = ClipSet(
-                clips=tuple(
-                    tuple(GrayFrame(pixels=arr[c, r]) for r in range(4)) for c in range(3)
-                )
-            )
-            feats = stack_time_step_features(build_time_step_features(cs, spec))
-            write_tensor(out / f"{path.name[:-len('.clips.sktf')]}.feat.sktf",
-                         feats.astype(np.float32))
-            count += 1
+        suffix = ".clips.sktf"
+
+        def features(path):
+            return build_time_step_features(ClipSet(pixels=read_tensor(path)), spec)
     else:
-        for path in sorted(clip_dir.glob("*.fmaps.sktf")):
-            feats = stack_time_step_features(load_feature_map_stack(path))
-            write_tensor(out / f"{path.name[:-len('.fmaps.sktf')]}.feat.sktf",
-                         feats.astype(np.float32))
-            count += 1
-    if count == 0:
+        suffix, features = ".fmaps.sktf", load_feature_map_stack
+    paths = sorted(clip_dir.glob(f"*{suffix}"))
+    if not paths:
         raise StageError("extract", f"no input tensors found in {clip_dir}")
-    print(f"wrote {count} feature file(s) to {out}")
+    for path in paths:
+        with _stage("extract", path):
+            feats = stack_time_step_features(features(path))
+        write_tensor(out / f"{path.name[:-len(suffix)]}.feat.sktf", feats.astype(np.float32))
+    print(f"wrote {len(paths)} feature file(s) to {out}")
     return 0
 
 

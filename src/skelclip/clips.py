@@ -7,7 +7,9 @@ coordinates (radius, azimuth, height) by default, or left Cartesian for the
 ablation. Each coordinate channel of each array becomes a gray image with
 rows = time and columns = joints, linearly scaled to 0..255 and resized to
 S x S. Grouping the four images of one channel yields one clip; the three
-channels yield three clips, independent of the sequence length.
+channels yield three clips, independent of the sequence length. A clip set
+is one (3 channels, 4 reference joints, S, S) uint8 array; gray frames are
+plain (H, W) uint8 arrays.
 """
 
 from __future__ import annotations
@@ -30,43 +32,29 @@ MAX_OFFSET = AUGMENT_SIZE - CROP_SIZE
 
 
 @dataclass(frozen=True)
-class GrayFrame:
-    """H x W image of uint8 pixels, tagged with its (reference, channel) source."""
+class ClipSet:
+    """3 clips x 4 frames as one (3, 4, H, W) uint8 array; clip index =
+    coordinate channel, frame index = reference joint position in the
+    layout's reference list."""
 
     pixels: np.ndarray
-    source: tuple[int, str] | None = None
-
-    def __post_init__(self):
-        px = np.asarray(self.pixels)
-        if px.ndim != 2 or px.shape[0] < 1 or px.shape[1] < 1:
-            raise ValueError(f"pixels must be a non-empty 2D array, got shape {px.shape}")
-        if px.dtype != np.uint8:
-            raise ValueError(f"pixels must be uint8, got {px.dtype}")
-        object.__setattr__(self, "pixels", px)
-
-
-@dataclass(frozen=True)
-class ClipSet:
-    """3 clips x 4 frames; clip index = coordinate channel, frame index =
-    reference joint position in the layout's reference list."""
-
-    clips: tuple[tuple[GrayFrame, ...], ...]
     channels: tuple[str, str, str] = CYLINDRICAL_CHANNELS
 
     def __post_init__(self):
-        if len(self.clips) != 3 or any(len(c) != 4 for c in self.clips):
-            raise ValueError("a ClipSet holds exactly 3 clips of 4 frames")
-        shapes = {f.pixels.shape for clip in self.clips for f in clip}
-        if len(shapes) != 1:
-            raise ValueError(f"all frames must share dimensions, got {shapes}")
+        px = np.asarray(self.pixels)
+        if px.ndim != 4 or px.shape[:2] != (3, 4) or 0 in px.shape:
+            raise ValueError(f"a ClipSet holds a (3, 4, H, W) array, got shape {px.shape}")
+        if px.dtype != np.uint8:
+            raise ValueError(f"clip pixels must be uint8, got {px.dtype}")
+        object.__setattr__(self, "pixels", px)
 
     @property
     def size(self) -> tuple[int, int]:
-        return self.clips[0][0].pixels.shape
+        return self.pixels.shape[2:]
 
     def as_array(self) -> np.ndarray:
-        """(3, 4, H, W) uint8 view of the frames."""
-        return np.stack([np.stack([f.pixels for f in clip]) for clip in self.clips])
+        """The (3, 4, H, W) uint8 frames."""
+        return self.pixels
 
 
 @dataclass(frozen=True)
@@ -125,11 +113,9 @@ def _round_half_up(values: np.ndarray) -> np.ndarray:
 
 
 def scale_to_gray(
-    values: np.ndarray,
-    bounds: tuple[float, float] | None = None,
-    source: tuple[int, str] | None = None,
-) -> GrayFrame:
-    """Linearly map an array to 0..255 pixels.
+    values: np.ndarray, bounds: tuple[float, float] | None = None
+) -> np.ndarray:
+    """Linearly map an array to 0..255 uint8 pixels.
 
     ``bounds`` fixes the (min, max) of the linear map; by default the
     array's own range is used. A degenerate range yields an all-zero image.
@@ -139,22 +125,20 @@ def scale_to_gray(
         raise ValueError("cannot scale non-finite values")
     vmin, vmax = bounds if bounds is not None else (values.min(), values.max())
     if vmax == vmin:
-        pixels = np.zeros(values.shape, dtype=np.uint8)
-    else:
-        scaled = 255.0 * (values - vmin) / (vmax - vmin)
-        pixels = _round_half_up(scaled).astype(np.uint8)
-    return GrayFrame(pixels=pixels, source=source)
+        return np.zeros(values.shape, dtype=np.uint8)
+    scaled = 255.0 * (values - vmin) / (vmax - vmin)
+    return _round_half_up(scaled).astype(np.uint8)
 
 
-def resize_bilinear(frame: GrayFrame, out_h: int, out_w: int) -> GrayFrame:
-    """Bilinear resize with half-pixel-center sampling.
+def resize_bilinear(frame: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resize of an (H, W) uint8 image with half-pixel-center sampling.
 
     Source coordinate = (dst + 0.5) * (src / dst) - 0.5, clamped to the
     valid range; results round half away from zero.
     """
     if out_h < 1 or out_w < 1:
         raise ValueError(f"output dims must be >= 1, got {out_h}x{out_w}")
-    src = frame.pixels.astype(np.float64)
+    src = frame.astype(np.float64)
     h, w = src.shape
     ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
     xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
@@ -170,8 +154,7 @@ def resize_bilinear(frame: GrayFrame, out_h: int, out_w: int) -> GrayFrame:
         + src[np.ix_(y1, x0)] * wy * (1.0 - wx)
         + src[np.ix_(y1, x1)] * wy * wx
     )
-    pixels = np.clip(_round_half_up(out), 0, 255).astype(np.uint8)
-    return GrayFrame(pixels=pixels, source=frame.source)
+    return np.clip(_round_half_up(out), 0, 255).astype(np.uint8)
 
 
 def generate_clips(seq: SkeletonSequence, options: ClipOptions = ClipOptions()) -> ClipSet:
@@ -188,20 +171,19 @@ def generate_clips(seq: SkeletonSequence, options: ClipOptions = ClipOptions()) 
             rel = cartesian_to_cylindrical(rel)
         arrays.append([rel[:, :, c].T for c in range(3)])
 
-    clips = []
-    for c, channel in enumerate(channels):
+    size = options.size
+    pixels = np.empty((3, 4, size, size), dtype=np.uint8)
+    for c in range(3):
         if options.scale_scope == "clip":
             lo = min(arrays[r][c].min() for r in range(4))
             hi = max(arrays[r][c].max() for r in range(4))
             bounds = (lo, hi)
         else:
             bounds = None
-        frames = []
         for r in range(4):
-            gray = scale_to_gray(arrays[r][c], bounds=bounds, source=(r, channel))
-            frames.append(resize_bilinear(gray, options.size, options.size))
-        clips.append(tuple(frames))
-    return ClipSet(clips=tuple(clips), channels=channels)
+            gray = scale_to_gray(arrays[r][c], bounds=bounds)
+            pixels[c, r] = resize_bilinear(gray, size, size)
+    return ClipSet(pixels=pixels, channels=channels)
 
 
 def augment_crops(cs: ClipSet, n: int, seed: int | np.random.SeedSequence) -> list[ClipSet]:
@@ -209,30 +191,23 @@ def augment_crops(cs: ClipSet, n: int, seed: int | np.random.SeedSequence) -> li
     [0, 26]^2 drawn per variant and applied to all 12 frames."""
     if n < 1:
         raise ValueError("crop count must be >= 1")
-    enlarged = [
-        [resize_bilinear(f, AUGMENT_SIZE, AUGMENT_SIZE) for f in clip] for clip in cs.clips
-    ]
+    enlarged = np.empty((3, 4, AUGMENT_SIZE, AUGMENT_SIZE), dtype=np.uint8)
+    for c, r in np.ndindex(3, 4):
+        enlarged[c, r] = resize_bilinear(cs.pixels[c, r], AUGMENT_SIZE, AUGMENT_SIZE)
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n):
         dx, dy = rng.integers(0, MAX_OFFSET + 1, size=2)
-        clips = tuple(
-            tuple(
-                GrayFrame(
-                    pixels=f.pixels[dy:dy + CROP_SIZE, dx:dx + CROP_SIZE],
-                    source=f.source,
-                )
-                for f in clip
-            )
-            for clip in enlarged
-        )
-        out.append(ClipSet(clips=clips, channels=cs.channels))
+        crop = enlarged[:, :, dy:dy + CROP_SIZE, dx:dx + CROP_SIZE]
+        out.append(ClipSet(pixels=crop, channels=cs.channels))
     return out
 
 
-def write_pgm(frame: GrayFrame, path: str | Path) -> None:
-    """Binary PGM (P5, maxval 255) export for visual inspection."""
-    h, w = frame.pixels.shape
+def write_pgm(frame: np.ndarray, path: str | Path) -> None:
+    """Binary PGM (P5, maxval 255) export of one (H, W) uint8 frame."""
+    if frame.dtype != np.uint8:
+        raise ValueError(f"PGM frames must be uint8, got {frame.dtype}")
+    h, w = frame.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(frame.pixels.tobytes())
+        fh.write(frame.tobytes())

@@ -186,14 +186,15 @@ def sequence_table_loader(
 
 
 @contextmanager
-def _stage(name: str):
-    """Re-raise any failure inside the block as a StageError tagged ``name``."""
+def _stage(name: str, source: object = None):
+    """Re-raise any failure inside the block as a StageError tagged ``name``;
+    a ``source`` (a file, or a file and body) prefixes the message."""
     try:
         yield
     except StageError:
         raise
     except Exception as exc:
-        raise StageError(name, str(exc)) from exc
+        raise StageError(name, str(exc) if source is None else f"{source}: {exc}") from exc
 
 
 def compute_features(
@@ -210,14 +211,15 @@ def compute_features(
         )
     out: dict[str, dict[str, list[np.ndarray]]] = {}
     for entry_index, entry in enumerate(manifest.entries):
-        with _stage("load"):
+        with _stage("load", entry.path):
             bodies = loader(entry.path)
         plain: list[np.ndarray] = []
         crops: list[np.ndarray] = []
         for body_index, body in enumerate(bodies):
-            with _stage("clips"):
+            source = f"{entry.path} body {body_index}"
+            with _stage("clips", source):
                 cs = generate_clips(body, config.clip_options)
-            with _stage("features"):
+            with _stage("features", source):
                 plain.append(
                     stack_time_step_features(build_time_step_features(cs, config.extractor))
                 )

@@ -4,14 +4,16 @@ The builtin extractor stands in for a pretrained network used purely as a
 feature extractor: a fixed stack of 3x3 conv / ReLU / 2x2 max-pool stages
 whose weights are drawn once from a seeded splitmix64 generator and never
 trained. 224 x 224 inputs pass through four stages (224 -> 112 -> 56 -> 28
--> 14), ending in 14 x 14 x C feature maps. Batches are channel-last; each
-frame runs alone and channel-first (see ``_extract_batch``). Temporal mean
+-> 14), ending in 14 x 14 x C feature maps. Every input frame is one gray
+(single-channel) clip frame: ``build_time_step_features`` runs the 12 frames
+of a clip set's (3, 4, H, W) array through ``_extract_batch``, which takes
+channel-last batches and runs each frame alone and channel-first. Temporal mean
 pooling averages the rectified activations of each feature map over the row
 (time) axis and concatenates the per-map results map-major into a W*C vector;
 with C = 512 this is the 7168-dimensional representation of one clip frame.
 
 Externally computed feature maps (e.g. from a real pretrained model) can be
-ingested through the tensor files handled by ``load_feature_maps`` /
+ingested as one (3, 4, H, W, C) tensor file per sequence through
 ``load_feature_map_stack`` instead of the builtin extractor.
 """
 
@@ -20,12 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
-from .clips import ClipSet, GrayFrame
+from .clips import ClipSet
 from .errors import TensorFormatError
-from .tensorio import read_tensor, write_tensor
+from .tensorio import read_tensor
 
 DEFAULT_STAGE_WIDTHS = (8, 16, 32)  # leading stages; the final stage has `channels` maps
 
@@ -80,20 +83,18 @@ class ExtractorSpec:
 
     ``stage_widths`` are the channel widths of the leading stages; one more
     stage of width ``channels`` is appended, so the default builds the
-    (8, 16, 32, C) stack. Identical spec and seed give bit-identical weights.
+    (8, 16, 32, C) stack. The input is one gray frame, so the first stage
+    has ``in_channels`` = 1. Identical spec and seed give bit-identical weights.
     """
 
-    kind: str = "builtin"  # or "precomputed"
     channels: int = 64
     seed: int = 0
     stage_widths: tuple[int, ...] = DEFAULT_STAGE_WIDTHS
-    in_channels: int = 1
+    in_channels: ClassVar[int] = 1
 
     def __post_init__(self):
-        if self.kind not in ("builtin", "precomputed"):
-            raise ValueError(f"kind must be builtin or precomputed, got {self.kind!r}")
-        if self.channels < 1 or self.in_channels < 1:
-            raise ValueError("channel counts must be >= 1")
+        if self.channels < 1:
+            raise ValueError("channels must be >= 1")
         if any(w < 1 for w in self.stage_widths):
             raise ValueError("stage widths must be >= 1")
 
@@ -141,8 +142,6 @@ def extractor_weights(spec: ExtractorSpec) -> tuple[np.ndarray, ...]:
     One normal stream per spec, consumed stage by stage in row-major kernel
     order and scaled by sqrt(2 / fan_in). Built once and shared read-only.
     """
-    if spec.kind != "builtin":
-        raise ValueError("only builtin extractors have weights")
     total = 0
     cin = spec.in_channels
     shapes = []
@@ -197,14 +196,6 @@ def _extract_batch(frames: np.ndarray, spec: ExtractorSpec) -> np.ndarray:
     return np.stack(out)
 
 
-def builtin_extract(frame: GrayFrame, spec: ExtractorSpec = ExtractorSpec()) -> FeatureMaps:
-    """Run one gray frame through the frozen stack; pixels map to [0, 1]."""
-    if spec.in_channels != 1:
-        raise ValueError("builtin_extract takes single-channel frames; see color-clip path")
-    x = frame.pixels.astype(np.float64)[None, :, :, None] / 255.0
-    return FeatureMaps(maps=_extract_batch(x, spec)[0])
-
-
 def _pool(maps: np.ndarray) -> np.ndarray:
     """Temporal mean pooling of (..., H, W, C) activations: the mean of the
     rectified values over the row (time) axis, concatenated map-major into
@@ -230,30 +221,13 @@ def build_time_step_features(
 ) -> list[TimeStepFeature]:
     """Extract and pool all 12 frames, then concatenate per time-step.
 
-    Returns four vectors of length 3*W*C, one per reference joint, channel
-    blocks in clip order.
+    Pixels map to [0, 1]. Returns four vectors of length 3*W*C, one per
+    reference joint, channel blocks in clip order.
     """
-    if spec.kind != "builtin" or spec.in_channels != 1:
-        raise ValueError("time-step features need a single-channel builtin spec")
-    frames = cs.as_array()  # (3, 4, H, W)
-    h, wd = frames.shape[2], frames.shape[3]
-    batch = frames.reshape(12, h, wd, 1).astype(np.float64) / 255.0
+    h, wd = cs.size
+    batch = cs.pixels.reshape(12, h, wd, 1).astype(np.float64) / 255.0
     maps = _extract_batch(batch, spec)  # (12, H', W', C)
     return _time_step_features(_pool(maps).reshape(3, 4, -1))
-
-
-def build_color_clip_features(
-    cs: ClipSet, spec: ExtractorSpec
-) -> list[PooledFeature]:
-    """Ablation path: stack the three channel frames of each time-step as one
-    3-channel input, giving a single W*C feature per time-step."""
-    if spec.in_channels != 3:
-        raise ValueError("color-clip extraction needs a spec with in_channels=3")
-    frames = cs.as_array()  # (3, 4, H, W)
-    batch = frames.transpose(1, 2, 3, 0).astype(np.float64) / 255.0  # (4, H, W, 3)
-    maps = _extract_batch(batch, spec)  # (4, H', W', C)
-    dims = (maps.shape[2], maps.shape[3])
-    return [PooledFeature(values=v, dims=dims) for v in _pool(maps)]
 
 
 def stack_time_step_features(features: list[TimeStepFeature]) -> np.ndarray:
@@ -266,21 +240,6 @@ def stack_time_step_features(features: list[TimeStepFeature]) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Feature map files
-
-
-def store_feature_maps(fm: FeatureMaps, path: str | Path) -> None:
-    write_tensor(path, fm.maps.astype(np.float32))
-
-
-def load_feature_maps(path: str | Path) -> FeatureMaps:
-    arr = read_tensor(path)
-    if arr.ndim != 3:
-        raise TensorFormatError(f"feature maps must be rank 3, got rank {arr.ndim}")
-    if min(arr.shape) < 1:
-        raise TensorFormatError(f"feature map dims must be >= 1, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise TensorFormatError("feature map payload contains non-finite values")
-    return FeatureMaps(maps=arr.astype(np.float64))
 
 
 def load_feature_map_stack(path: str | Path) -> list[TimeStepFeature]:

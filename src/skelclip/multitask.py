@@ -127,19 +127,26 @@ def _check_one_hot(y: np.ndarray, n: int) -> int:
     return int(np.argmax(y))
 
 
+def _batch_mean_loss(z: np.ndarray, labels: np.ndarray) -> float:
+    """Mean over samples of the summed task cross entropies of (B, K, n)
+    logits: log-sum-exp(z) minus the true-class logit, max-shifted."""
+    zmax = z.max(axis=-1, keepdims=True)
+    lse = (zmax[..., 0] + np.log(np.exp(z - zmax).sum(axis=-1)))  # (B, K)
+    picked = np.take_along_axis(z, labels[:, None, None], axis=-1)[..., 0]  # (B, K)
+    return float((lse - picked).sum(axis=-1).mean())
+
+
 def task_loss(z_k: np.ndarray, y: np.ndarray) -> float:
-    """Cross entropy of one task: log-sum-exp(z) minus the true-class logit,
-    computed with the max-shifted formulation."""
+    """Cross entropy of one task's (n,) logits against a one-hot ``y``."""
     z_k = np.asarray(z_k, dtype=np.float64)
     true = _check_one_hot(y, z_k.shape[0])
-    zmax = z_k.max()
-    lse = zmax + np.log(np.exp(z_k - zmax).sum())
-    return float(lse - z_k[true])
+    return _batch_mean_loss(z_k[None, None], np.array([true]))
 
 
 def total_loss(scores: TaskScores, y: np.ndarray) -> float:
     """Sum of the per-task losses."""
-    return float(sum(task_loss(z_k, y) for z_k in scores.z))
+    true = _check_one_hot(y, scores.z.shape[-1])
+    return _batch_mean_loss(scores.z[None], np.array([true]))
 
 
 @dataclass
@@ -214,14 +221,6 @@ def init_params(d: int, hidden: int, n_classes: int, rng: np.random.Generator) -
         W2=rng.uniform(-a2, a2, size=(hidden, n_classes)),
         b2=np.zeros(n_classes),
     )
-
-
-def _batch_mean_loss(z: np.ndarray, labels: np.ndarray) -> float:
-    # z: (B, K, n); per-sample loss sums over tasks
-    zmax = z.max(axis=-1, keepdims=True)
-    lse = (zmax[..., 0] + np.log(np.exp(z - zmax).sum(axis=-1)))  # (B, K)
-    picked = np.take_along_axis(z, labels[:, None, None], axis=-1)[..., 0]  # (B, K)
-    return float((lse - picked).sum(axis=-1).mean())
 
 
 def dataset_mean_loss(params: MtlnParams, x: np.ndarray, labels: np.ndarray) -> float:

@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from skelclip import read_tensor, write_tensor
 from skelclip.cli import main
@@ -213,3 +220,52 @@ def test_cli_missing_feature_file(synth_dir, tmp_path, capsys):
                    "--manifest", synth_dir / "manifest.txt", "--out", tmp_path / "m.sktf")
     assert code == 1
     assert "no feature file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape, dtype", [
+    ((2, 4, 16, 16), np.uint8),
+    ((4, 4, 16, 16), np.uint8),
+    ((3, 4, 16, 16), np.float32),
+])
+def test_extract_rejects_bad_clip_tensor(tmp_path, capsys, shape, dtype):
+    clips = tmp_path / "clips"
+    clips.mkdir()
+    write_tensor(clips / "bad.clips.sktf", np.zeros(shape, dtype=dtype))
+    assert run_cli("extract", "--clips", clips, "--out", tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("skelclip: [extract] ")
+    assert "bad.clips.sktf" in err
+    assert not (tmp_path / "o" / "bad.feat.sktf").exists()
+
+
+def test_extract_precomputed_failure_names_file(tmp_path, capsys):
+    clips = tmp_path / "stacks"
+    clips.mkdir()
+    write_tensor(clips / "bad.fmaps.sktf", np.zeros((4, 3, 6, 5, 2), dtype=np.float32))
+    assert run_cli("extract", "--clips", clips, "--extractor", "precomputed",
+                   "--out", tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("skelclip: [extract] ")
+    assert "bad.fmaps.sktf" in err and "(3, 4, H, W, C)" in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(hnp.arrays(
+    dtype=st.sampled_from([np.uint8, np.float32]),
+    shape=hnp.array_shapes(min_dims=1, max_dims=5, min_side=0, max_side=6),
+))
+def test_extract_any_small_tensor_fails_cleanly(arr):
+    # no tensor this small passes the four halving stages, so every one must
+    # end as a one-line skelclip error naming the file, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        clips = Path(tmp) / "clips"
+        clips.mkdir()
+        write_tensor(clips / "x.clips.sktf", arr)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli("extract", "--clips", clips, "--channels", 4,
+                           "--out", Path(tmp) / "o")
+    assert code == 1
+    assert err.getvalue().startswith("skelclip: [extract] ")
+    assert "x.clips.sktf" in err.getvalue()
+    assert "Traceback" not in err.getvalue()

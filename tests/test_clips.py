@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from skelclip import (
     ClipOptions,
-    GrayFrame,
+    ClipSet,
     SkeletonSequence,
     augment_crops,
     cartesian_to_cylindrical,
@@ -98,19 +98,20 @@ def test_cylindrical_negative_zero_y():
 
 
 def test_scale_constant_array_is_zero():
-    frame = scale_to_gray(np.full((3, 4), 7.25))
-    assert np.all(frame.pixels == 0)
+    px = scale_to_gray(np.full((3, 4), 7.25))
+    assert px.dtype == np.uint8
+    assert np.all(px == 0)
 
 
 def test_scale_known_values():
-    frame = scale_to_gray(np.array([[0.0, 1.0], [2.0, 3.0]]))
-    assert np.array_equal(frame.pixels, np.array([[0, 85], [170, 255]], dtype=np.uint8))
+    px = scale_to_gray(np.array([[0.0, 1.0], [2.0, 3.0]]))
+    assert np.array_equal(px, np.array([[0, 85], [170, 255]], dtype=np.uint8))
 
 
 def test_scale_extremes_hit_bounds(rng):
     for _ in range(20):
         values = rng.uniform(-5, 5, size=(6, 7))
-        px = scale_to_gray(values).pixels
+        px = scale_to_gray(values)
         assert px[np.unravel_index(np.argmin(values), values.shape)] == 0
         assert px[np.unravel_index(np.argmax(values), values.shape)] == 255
 
@@ -119,15 +120,15 @@ def test_scale_extremes_hit_bounds(rng):
 @given(st.integers(0, 2**32 - 1))
 def test_scale_monotone(seed):
     values = np.random.default_rng(seed).uniform(-10, 10, size=(4, 5))
-    px = scale_to_gray(values).pixels
+    px = scale_to_gray(values)
     order = np.argsort(values.ravel())
     assert np.all(np.diff(px.ravel()[order].astype(int)) >= 0)
 
 
 def test_scale_explicit_bounds():
-    frame = scale_to_gray(np.array([[1.0, 2.0]]), bounds=(0.0, 4.0))
+    px = scale_to_gray(np.array([[1.0, 2.0]]), bounds=(0.0, 4.0))
     # 255 * 1/4 = 63.75 -> 64; 255 * 2/4 = 127.5 -> 128 (half away from zero)
-    assert np.array_equal(frame.pixels, np.array([[64, 128]], dtype=np.uint8))
+    assert np.array_equal(px, np.array([[64, 128]], dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -135,19 +136,20 @@ def test_scale_explicit_bounds():
 
 
 def _gray(arr):
-    return GrayFrame(pixels=np.asarray(arr, dtype=np.uint8))
+    return np.asarray(arr, dtype=np.uint8)
 
 
 def test_resize_identity():
     img = _gray(np.arange(12).reshape(3, 4))
     out = resize_bilinear(img, 3, 4)
-    assert np.array_equal(out.pixels, img.pixels)
+    assert out.dtype == np.uint8
+    assert np.array_equal(out, img)
 
 
 def test_resize_constant_stays_constant():
     img = _gray(np.full((2, 3), 77))
     for oh, ow in [(1, 1), (5, 9), (224, 224)]:
-        assert np.all(resize_bilinear(img, oh, ow).pixels == 77)
+        assert np.all(resize_bilinear(img, oh, ow) == 77)
 
 
 def test_resize_known_upsample():
@@ -155,12 +157,12 @@ def test_resize_known_upsample():
     # -0.25, 0.25, 0.75, 1.25 -> clamp/interp gives 0, 64, 191, 255
     img = _gray([[0, 255], [0, 255]])
     out = resize_bilinear(img, 2, 4)
-    assert np.array_equal(out.pixels, np.array([[0, 64, 191, 255]] * 2, dtype=np.uint8))
+    assert np.array_equal(out, np.array([[0, 64, 191, 255]] * 2, dtype=np.uint8))
 
 
 def test_resize_matches_pointwise_oracle(rng):
     src = rng.integers(0, 256, size=(5, 7), dtype=np.uint8)
-    out = resize_bilinear(_gray(src), 11, 4).pixels
+    out = resize_bilinear(_gray(src), 11, 4)
     h, w = src.shape
     for oy in range(11):
         for ox in range(4):
@@ -205,9 +207,9 @@ def test_static_pose_gives_constant_columns(fig16, rng):
     frame = rng.uniform(-1, 1, size=(16, 3))
     seq = SkeletonSequence(layout=fig16, frames=np.repeat(frame[None], 9, axis=0))
     cs = generate_clips(seq, ClipOptions(size=48))
-    for clip in cs.clips:
+    for clip in cs.pixels:
         for f in clip:
-            assert np.all(f.pixels == f.pixels[0:1, :])  # rows identical
+            assert np.all(f == f[0:1, :])  # rows identical
 
 
 def test_translation_invariance_bit_exact(fig16, rng):
@@ -227,8 +229,7 @@ def test_intermediate_array_orientation(fig16, rng):
     frames[:, 0, 2] = np.linspace(0.0, 1.0, t)  # joint 0 height ramps over time
     seq = SkeletonSequence(layout=fig16, frames=frames)
     cs = generate_clips(seq, ClipOptions(size=64))
-    height_clip = cs.clips[2]
-    img = height_clip[0].pixels  # reference slot 0
+    img = cs.pixels[2, 0]  # height clip, reference slot 0
     # ramp over time -> pixel values vary down the rows in the ramping column,
     # and each row is constant across the resized former-joint-0 columns
     col = img[:, 0].astype(int)
@@ -249,14 +250,35 @@ def test_clip_scope_scaling(fig16, rng):
     seq = random_sequence(fig16, 15, rng)
     cs = generate_clips(seq, ClipOptions(scale_scope="clip", size=15))
     saw_partial_frame = False
-    for clip in cs.clips:
-        values = np.stack([f.pixels for f in clip])
-        assert values.min() == 0
-        assert values.max() == 255
+    for clip in cs.pixels:
+        assert clip.min() == 0
+        assert clip.max() == 255
         for f in clip:
-            if f.pixels.min() > 0 or f.pixels.max() < 255:
+            if f.min() > 0 or f.max() < 255:
                 saw_partial_frame = True
     assert saw_partial_frame
+
+
+def test_clipset_holds_one_uint8_array(fig16, rng):
+    cs = generate_clips(random_sequence(fig16, 5, rng), ClipOptions(size=16))
+    assert cs.pixels.shape == (3, 4, 16, 16)
+    assert cs.pixels.dtype == np.uint8
+    assert cs.size == (16, 16)
+    assert cs.as_array() is cs.pixels
+
+
+@pytest.mark.parametrize("shape, dtype", [
+    ((2, 4, 8, 8), np.uint8),
+    ((4, 4, 8, 8), np.uint8),
+    ((3, 3, 8, 8), np.uint8),
+    ((3, 4, 8), np.uint8),
+    ((3, 4, 8, 8, 1), np.uint8),
+    ((3, 4, 0, 8), np.uint8),
+    ((3, 4, 8, 8), np.float32),
+])
+def test_clipset_rejects_bad_arrays(shape, dtype):
+    with pytest.raises(ValueError, match="ClipSet|uint8"):
+        ClipSet(pixels=np.zeros(shape, dtype=dtype))
 
 
 def test_t1_sequence_valid(fig16, rng):
@@ -289,9 +311,8 @@ def test_augment_deterministic(fig16, rng):
 
 def test_augment_windows_match_enlarged(fig16, rng):
     cs = generate_clips(random_sequence(fig16, 6, rng))
-    enlarged = np.stack([
-        np.stack([resize_bilinear(f, AUGMENT_SIZE, AUGMENT_SIZE).pixels for f in clip])
-        for clip in cs.clips
+    enlarged = np.array([
+        [resize_bilinear(f, AUGMENT_SIZE, AUGMENT_SIZE) for f in clip] for clip in cs.pixels
     ])
     crops = augment_crops(cs, n=8, seed=5)
     for crop in crops:
@@ -324,7 +345,12 @@ def test_augment_rejects_zero(fig16, rng):
 def test_pgm_export(tmp_path, rng):
     px = rng.integers(0, 256, size=(5, 7), dtype=np.uint8)
     path = tmp_path / "f.pgm"
-    write_pgm(GrayFrame(pixels=px), path)
+    write_pgm(px, path)
     data = path.read_bytes()
     assert data.startswith(b"P5\n7 5\n255\n")
     assert data[len(b"P5\n7 5\n255\n"):] == px.tobytes()
+
+
+def test_pgm_rejects_non_uint8(tmp_path):
+    with pytest.raises(ValueError, match="uint8"):
+        write_pgm(np.zeros((2, 2)), tmp_path / "f.pgm")

@@ -7,6 +7,7 @@ from skelclip import (
     ExtractorSpec,
     FeatureScaler,
     ManifestEntry,
+    ParseError,
     PipelineConfig,
     SplitProtocol,
     StageError,
@@ -20,7 +21,8 @@ from skelclip import (
     run_experiment,
     sequence_table_loader,
 )
-from skelclip.experiments import EvalReport, ModeResult
+from skelclip import experiments
+from skelclip.experiments import EvalReport, ModeResult, compute_features
 
 
 def entries_with_subjects(subjects, cameras=None):
@@ -353,6 +355,37 @@ def test_run_experiment_stage_tagged_failure(fig16, tiny_protocol):
 
     with pytest.raises(StageError, match=r"\[load\]"):
         run_experiment(manifest, broken_loader, tiny_protocol, tiny_pipeline(), modes=("mtln",))
+
+
+def test_load_failure_names_the_entry(tiny_dataset):
+    manifest, _ = tiny_dataset
+
+    def broken_loader(path):
+        raise ParseError("bad coordinate", line=37)
+
+    with pytest.raises(StageError) as info:
+        compute_features(manifest, broken_loader, tiny_pipeline())
+    assert info.value.stage == "load"
+    assert str(info.value) == f"[load] {manifest.entries[0].path}: line 37: bad coordinate"
+
+
+def test_clips_failure_names_the_entry_and_body(tiny_dataset, monkeypatch):
+    manifest, loader = tiny_dataset
+    calls = []
+    real = experiments.generate_clips
+
+    def fail_on_second_body(seq, options):
+        calls.append(seq)
+        if len(calls) == 2:
+            raise ValueError("no frames")
+        return real(seq, options)
+
+    monkeypatch.setattr(experiments, "generate_clips", fail_on_second_body)
+    two_bodies = lambda path: loader(path) * 2  # noqa: E731
+    with pytest.raises(StageError) as info:
+        compute_features(manifest, two_bodies, tiny_pipeline())
+    assert info.value.stage == "clips"
+    assert str(info.value) == f"[clips] {manifest.entries[0].path} body 1: no frames"
 
 
 def test_multi_body_recordings_average_scores(fig16, tiny_protocol):

@@ -6,23 +6,23 @@ from skelclip import (
     ClipOptions,
     ExtractorSpec,
     FeatureMaps,
-    GrayFrame,
     SkeletonSequence,
     TensorFormatError,
-    build_color_clip_features,
     build_time_step_features,
-    builtin_extract,
     generate_clips,
     load_feature_map_stack,
-    load_feature_maps,
     stack_time_step_features,
-    store_feature_maps,
     temporal_mean_pool,
     write_tensor,
 )
 from skelclip.features import _extract_batch, extractor_weights, seeded_normals
 
 from conftest import random_sequence
+
+
+def extract_frame(pixels, spec=ExtractorSpec()):
+    """One (H, W) uint8 gray frame through the extractor, pixels in [0, 1]."""
+    return _extract_batch(pixels.astype(np.float64)[None, :, :, None] / 255.0, spec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -123,38 +123,43 @@ def test_weights_shapes_and_scale():
 # Extraction
 
 
+def test_spec_takes_one_gray_input_channel():
+    spec = ExtractorSpec(channels=8)
+    assert spec.in_channels == 1
+    assert extractor_weights(spec)[0].shape[1] == 1
+    with pytest.raises(TypeError):
+        ExtractorSpec(in_channels=3)
+
+
 def test_extract_zero_frame_is_zero():
-    frame = GrayFrame(pixels=np.zeros((224, 224), dtype=np.uint8))
-    fm = builtin_extract(frame)
-    assert fm.maps.shape == (14, 14, 64)
-    assert np.all(fm.maps == 0.0)
+    maps = extract_frame(np.zeros((224, 224), dtype=np.uint8))
+    assert maps.shape == (14, 14, 64)
+    assert np.all(maps == 0.0)
 
 
 def test_extract_deterministic(rng):
-    frame = GrayFrame(pixels=rng.integers(0, 256, size=(224, 224), dtype=np.uint8))
+    frame = rng.integers(0, 256, size=(224, 224), dtype=np.uint8)
     spec = ExtractorSpec(channels=16, seed=5)
-    a = builtin_extract(frame, spec)
-    b = builtin_extract(frame, spec)
-    assert np.array_equal(a.maps, b.maps)
+    a = extract_frame(frame, spec)
+    b = extract_frame(frame, spec)
+    assert np.array_equal(a, b)
 
 
 def test_extract_seed_changes_output(rng):
-    frame = GrayFrame(pixels=rng.integers(0, 256, size=(224, 224), dtype=np.uint8))
-    a = builtin_extract(frame, ExtractorSpec(channels=16, seed=1))
-    b = builtin_extract(frame, ExtractorSpec(channels=16, seed=2))
-    assert not np.array_equal(a.maps, b.maps)
+    frame = rng.integers(0, 256, size=(224, 224), dtype=np.uint8)
+    a = extract_frame(frame, ExtractorSpec(channels=16, seed=1))
+    b = extract_frame(frame, ExtractorSpec(channels=16, seed=2))
+    assert not np.array_equal(a, b)
 
 
 def test_extract_spatial_path():
-    frame = GrayFrame(pixels=np.full((224, 224), 130, dtype=np.uint8))
-    fm = builtin_extract(frame, ExtractorSpec(channels=8))
-    assert fm.maps.shape == (14, 14, 8)
+    maps = extract_frame(np.full((224, 224), 130, dtype=np.uint8), ExtractorSpec(channels=8))
+    assert maps.shape == (14, 14, 8)
 
 
 def test_extract_rejects_unhalvable():
-    frame = GrayFrame(pixels=np.zeros((225, 225), dtype=np.uint8))
     with pytest.raises(ValueError, match="halvable"):
-        builtin_extract(frame, ExtractorSpec(channels=8))
+        extract_frame(np.zeros((225, 225), dtype=np.uint8), ExtractorSpec(channels=8))
 
 
 def test_one_stage_toy_matches_conv_oracle(rng):
@@ -193,8 +198,8 @@ def test_three_stage_nonsquare_batch_matches_conv_oracle(rng):
 
 def test_frames_extract_independently(rng):
     # a frame's maps do not depend on the other frames of its batch
-    spec = ExtractorSpec(channels=5, seed=3, stage_widths=(4,), in_channels=2)
-    x = rng.random((4, 16, 12, 2))
+    spec = ExtractorSpec(channels=5, seed=3, stage_widths=(4,))
+    x = rng.random((4, 16, 12, 1))
     batch = _extract_batch(x, spec)
     for i in range(4):
         assert np.array_equal(batch[i], _extract_batch(x[i:i + 1], spec)[0])
@@ -284,7 +289,7 @@ def test_time_step_features_match_per_frame_path(fig16, rng):
     for r in range(4):
         parts = []
         for c in range(3):
-            fm = builtin_extract(cs.clips[c][r], spec)
+            fm = FeatureMaps(maps=extract_frame(cs.pixels[c, r], spec))
             parts.append(temporal_mean_pool(fm).values)
         assert np.abs(feats[r].values - np.concatenate(parts)).max() <= 1e-12
 
@@ -308,94 +313,31 @@ def test_stack_time_step_features(fig16, rng):
 
 
 # ---------------------------------------------------------------------------
-# Color-clip ablation
-
-
-def test_color_clip_feature_shape(fig16, rng):
-    cs = generate_clips(random_sequence(fig16, 6, rng), ClipOptions(size=32))
-    spec = ExtractorSpec(channels=4, seed=1, stage_widths=(2,), in_channels=3)
-    feats = build_color_clip_features(cs, spec)
-    assert len(feats) == 4
-    for f in feats:
-        assert f.values.shape == (8 * 4,)  # W' * C for 32 -> 8 spatial
-
-
-def test_color_clip_matches_conv_oracle(fig16, rng):
-    # 1-stage toy: stacked 3-channel input against the nested-loop oracle
-    cs = generate_clips(random_sequence(fig16, 6, rng), ClipOptions(size=8))
-    spec = ExtractorSpec(channels=2, seed=4, stage_widths=(), in_channels=3)
-    feats = build_color_clip_features(cs, spec)
-    w = extractor_weights(spec)[0]
-    arr = cs.as_array().astype(np.float64) / 255.0  # (3, 4, 8, 8)
-    for r in range(4):
-        x = arr[:, r].transpose(1, 2, 0)  # (8, 8, 3)
-        maps = maxpool_oracle(np.maximum(conv3x3_oracle(x, w), 0.0))
-        assert np.abs(feats[r].values - pool_oracle(maps)).max() <= 1e-10
-
-
-def test_color_clip_requires_three_channel_spec(fig16, rng):
-    cs = generate_clips(random_sequence(fig16, 4, rng), ClipOptions(size=32))
-    with pytest.raises(ValueError, match="in_channels=3"):
-        build_color_clip_features(cs, ExtractorSpec(channels=4))
-
-
-def test_duplicated_gray_equals_channel_summed_conv(rng):
-    # feeding a gray image duplicated across three channels through a
-    # 3-channel conv equals a single-channel conv with channel-summed
-    # kernels: the single-channel extractor is this path folded together
-    spec3 = ExtractorSpec(channels=2, seed=6, stage_widths=(), in_channels=3)
-    w3 = extractor_weights(spec3)[0]
-    x = rng.random((6, 6))
-    dup = np.repeat(x[:, :, None], 3, axis=2)
-    a = conv3x3_oracle(dup, w3)
-    b = conv3x3_oracle(x[:, :, None], w3.sum(axis=1, keepdims=True))
-    assert np.abs(a - b).max() <= 1e-12
-
-
-def test_all_zero_color_clip(fig16):
-
-
-    cs = generate_clips(SkeletonSequence(layout=fig16, frames=np.zeros((3, 16, 3))))
-    spec = ExtractorSpec(channels=4, in_channels=3)
-    feats = build_color_clip_features(cs, spec)
-    for f in feats:
-        assert np.all(f.values == 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Feature map files
-
-
-def test_feature_maps_round_trip(tmp_path, rng):
-    fm = FeatureMaps(maps=rng.standard_normal((14, 14, 32)).astype(np.float32).astype(np.float64))
-    path = tmp_path / "fm.sktf"
-    store_feature_maps(fm, path)
-    back = load_feature_maps(path)
-    assert np.array_equal(back.maps, fm.maps)
+# Feature-map stacks
 
 
 def test_feature_maps_truncated(tmp_path, rng):
-    path = tmp_path / "fm.sktf"
-    store_feature_maps(FeatureMaps(maps=rng.random((4, 4, 2))), path)
+    path = tmp_path / "s.fmaps.sktf"
+    write_tensor(path, rng.random((3, 4, 4, 4, 2)).astype(np.float32))
     path.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(TensorFormatError):
-        load_feature_maps(path)
+        load_feature_map_stack(path)
 
 
 def test_feature_maps_zero_channel_rejected(tmp_path):
-    path = tmp_path / "fm.sktf"
-    write_tensor(path, np.zeros((14, 14, 0), dtype=np.float32))
-    with pytest.raises(TensorFormatError, match=">= 1"):
-        load_feature_maps(path)
+    path = tmp_path / "s.fmaps.sktf"
+    write_tensor(path, np.zeros((3, 4, 14, 14, 0), dtype=np.float32))
+    with pytest.raises(TensorFormatError, match=r"\(3, 4, H, W, C\)"):
+        load_feature_map_stack(path)
 
 
 def test_feature_maps_nan_rejected(tmp_path):
-    path = tmp_path / "fm.sktf"
-    arr = np.zeros((2, 2, 1), dtype=np.float32)
-    arr[0, 0, 0] = np.nan
+    path = tmp_path / "s.fmaps.sktf"
+    arr = np.zeros((3, 4, 2, 2, 1), dtype=np.float32)
+    arr[2, 3, 0, 0, 0] = np.nan
     write_tensor(path, arr)
     with pytest.raises(TensorFormatError, match="non-finite"):
-        load_feature_maps(path)
+        load_feature_map_stack(path)
 
 
 def test_feature_map_stack_pooling(tmp_path, rng):
