@@ -39,7 +39,6 @@ from .features import (
     ExtractorSpec,
     FeatureMaps,
     PooledFeature,
-    TimeStepFeature,
     build_time_step_features,
     load_feature_map_stack,
     stack_time_step_features,

@@ -143,14 +143,9 @@ def _cmd_train(args) -> int:
         hidden=args.hidden,
     )
     models, curves = train_mode(args.mode, x, y, cfg, manifest.class_count)
-    named = (
-        {"model": models[0]}
-        if len(models) == 1
-        else {f"frame{i}": m for i, m in enumerate(models)}
-    )
     save_checkpoint(
         args.out,
-        named,
+        models,
         mode=args.mode,
         seed=args.seed,
         extra_tensors={
@@ -174,12 +169,11 @@ def _cmd_predict(args) -> int:
     files = sorted(feature_dir.glob("*.feat.sktf"))
     if not files:
         raise StageError("predict", f"no feature files in {feature_dir}")
-    ordered = [models[k] for k in sorted(models)]
     for path in files:
         feats = read_tensor(path).astype(np.float64)
         if scaler is not None:
             feats = scaler.apply(feats)
-        nets = zip(ordered, mode_inputs(mode, feats[None]), strict=True)
+        nets = zip(models, mode_inputs(mode, feats[None]), strict=True)
         probs = np.mean([predict_proba(m, x)[0] for m, x in nets], axis=0)
         name = path.name[: -len(".feat.sktf")]
         print(f"{name} {int(np.argmax(probs))}")

@@ -4,9 +4,11 @@ A run takes a dataset (manifest plus a way to load each entry's sequences),
 partitions it by the chosen protocol, pushes every sequence through
 clip generation -> frozen feature extraction -> (optional train-set
 standardization) -> classifier training, and evaluates each requested mode
-on the held-out side. Recordings that contain several skeletons contribute
-one training sample per skeleton and are scored at test time by averaging
-the samples' class probabilities.
+on the held-out side. Every skeleton becomes one (4, d) feature array, one
+row per time-step, and a fold trains on one stacked (N, 4, d) array.
+Recordings that contain several skeletons contribute one training sample per
+skeleton and are scored at test time by averaging the samples' class
+probabilities.
 """
 
 from __future__ import annotations
@@ -201,18 +203,25 @@ def compute_features(
     manifest: DatasetManifest,
     loader: SequenceLoader,
     config: PipelineConfig,
-) -> dict[str, dict[str, list[np.ndarray]]]:
-    """Per-entry feature arrays: ``plain`` holds one (4, d) array per skeleton
-    in the recording; ``crops`` holds augment_count arrays per skeleton."""
+) -> dict[str, tuple[list[np.ndarray], list[np.ndarray]]]:
+    """Per-entry ``(plain, crops)`` lists of (4, d) feature arrays: ``plain``
+    holds one array per skeleton in the recording, ``crops`` augment_count
+    arrays per skeleton."""
     if config.augment_count > 0 and config.clip_options.size != CROP_SIZE:
         raise ValueError(
             f"crop augmentation is defined for {CROP_SIZE}x{CROP_SIZE} clips; "
             f"got size {config.clip_options.size}"
         )
-    out: dict[str, dict[str, list[np.ndarray]]] = {}
+
+    def features(cs):
+        return stack_time_step_features(build_time_step_features(cs, config.extractor))
+
+    out: dict[str, tuple[list[np.ndarray], list[np.ndarray]]] = {}
     for entry_index, entry in enumerate(manifest.entries):
         with _stage("load", entry.path):
             bodies = loader(entry.path)
+            if not bodies:
+                raise ValueError("no skeleton in the recording")
         plain: list[np.ndarray] = []
         crops: list[np.ndarray] = []
         for body_index, body in enumerate(bodies):
@@ -220,21 +229,15 @@ def compute_features(
             with _stage("clips", source):
                 cs = generate_clips(body, config.clip_options)
             with _stage("features", source):
-                plain.append(
-                    stack_time_step_features(build_time_step_features(cs, config.extractor))
-                )
+                plain.append(features(cs))
                 if config.augment_count > 0:
                     # one offset stream per entry and body
                     seed = np.random.SeedSequence(
                         [config.augment_seed, entry_index, body_index]
                     )
-                    for crop in augment_crops(cs, config.augment_count, seed):
-                        crops.append(
-                            stack_time_step_features(
-                                build_time_step_features(crop, config.extractor)
-                            )
-                        )
-        out[entry.path] = {"plain": plain, "crops": crops}
+                    crops.extend(features(crop) for crop in
+                                 augment_crops(cs, config.augment_count, seed))
+        out[entry.path] = (plain, crops)
     return out
 
 
@@ -317,16 +320,15 @@ def run_experiment(
     features = compute_features(replace(manifest, entries=entries), loader, config)
 
     results = {mode: ModeResult(mode, [], [], []) for mode in modes}
+    train_part = 1 if config.augment_count > 0 else 0  # crops, else plain
+    test_parts = 2 if config.test_average_crops else 1  # plain, then crops
     for train_manifest, test_manifest in splits:
-        train_x, train_y = [], []
-        for entry in train_manifest.entries:
-            per_body = features[entry.path]
-            samples = per_body["crops"] if config.augment_count > 0 else per_body["plain"]
-            for feats in samples:
-                train_x.append(feats)
-                train_y.append(entry.label)
-        train_x = np.stack(train_x)
-        train_y = np.array(train_y, dtype=np.intp)
+        train_samples = [features[e.path][train_part] for e in train_manifest.entries]
+        train_x = np.stack([f for samples in train_samples for f in samples])
+        train_y = np.repeat(
+            np.array([e.label for e in train_manifest.entries], dtype=np.intp),
+            [len(samples) for samples in train_samples],
+        )
 
         scaler = (
             FeatureScaler.fit(train_x)
@@ -334,14 +336,10 @@ def run_experiment(
             else FeatureScaler.identity(train_x.shape[1], train_x.shape[2])
         )
         train_x = scaler.apply(train_x)
-
-        test_groups = []
-        for entry in test_manifest.entries:
-            per_body = features[entry.path]
-            samples = list(per_body["plain"])
-            if config.test_average_crops and per_body["crops"]:
-                samples = samples + list(per_body["crops"])
-            test_groups.append((entry.label, [scaler.apply(f) for f in samples]))
+        test_groups = [
+            (e.label, [scaler.apply(f) for part in features[e.path][:test_parts] for f in part])
+            for e in test_manifest.entries
+        ]
 
         for mode in modes:
             with _stage("train"):

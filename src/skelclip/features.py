@@ -11,10 +11,13 @@ channel-last batches and runs each frame alone and channel-first. Temporal mean
 pooling averages the rectified activations of each feature map over the row
 (time) axis and concatenates the per-map results map-major into a W*C vector;
 with C = 512 this is the 7168-dimensional representation of one clip frame.
+A clip set pools to one (3, 4, W*C) array, and ``stack_time_step_features``
+joins each time-step's three channel vectors into the (4, 3*W*C) sample the
+classifier takes (21504-D per time-step at C = 512).
 
 Externally computed feature maps (e.g. from a real pretrained model) can be
 ingested as one (3, 4, H, W, C) tensor file per sequence through
-``load_feature_map_stack`` instead of the builtin extractor.
+``load_feature_map_stack``, which pools to the same (3, 4, W*C) array.
 """
 
 from __future__ import annotations
@@ -61,20 +64,6 @@ class PooledFeature:
         if values.shape != (w * c,):
             raise ValueError(f"expected length {w * c}, got shape {values.shape}")
         object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
-class TimeStepFeature:
-    """Concatenation of one time-step's three channel features, channel order
-    fixed to the clip order (radius, azimuth, height)."""
-
-    values: np.ndarray
-    time_step: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if not 0 <= self.time_step < 4:
-            raise ValueError(f"time_step must be in 0..3, got {self.time_step}")
 
 
 @dataclass(frozen=True)
@@ -210,41 +199,33 @@ def temporal_mean_pool(fm: FeatureMaps) -> PooledFeature:
     return PooledFeature(values=_pool(fm.maps), dims=(w, c))
 
 
-def _time_step_features(pooled: np.ndarray) -> list[TimeStepFeature]:
-    """(3 channels, 4 time-steps, n) pooled frames -> four vectors of length
-    3n, channel blocks in clip order."""
-    return [TimeStepFeature(values=pooled[:, r].reshape(-1), time_step=r) for r in range(4)]
+def build_time_step_features(cs: ClipSet, spec: ExtractorSpec = ExtractorSpec()) -> np.ndarray:
+    """Extract and pool all 12 frames of a clip set, pixels mapped to [0, 1].
 
-
-def build_time_step_features(
-    cs: ClipSet, spec: ExtractorSpec = ExtractorSpec()
-) -> list[TimeStepFeature]:
-    """Extract and pool all 12 frames, then concatenate per time-step.
-
-    Pixels map to [0, 1]. Returns four vectors of length 3*W*C, one per
-    reference joint, channel blocks in clip order.
+    Returns the pooled (3 channels, 4 time-steps, W*C) array in clip order;
+    ``stack_time_step_features`` joins it into the classifier's input.
     """
     h, wd = cs.size
     batch = cs.pixels.reshape(12, h, wd, 1).astype(np.float64) / 255.0
     maps = _extract_batch(batch, spec)  # (12, H', W', C)
-    return _time_step_features(_pool(maps).reshape(3, 4, -1))
+    return _pool(maps).reshape(3, 4, -1)
 
 
-def stack_time_step_features(features: list[TimeStepFeature]) -> np.ndarray:
-    """(4, d) array in time-step order, the classifier's input layout."""
-    if sorted(f.time_step for f in features) != [0, 1, 2, 3]:
-        raise ValueError("need exactly one feature per time-step 0..3")
-    ordered = sorted(features, key=lambda f: f.time_step)
-    return np.stack([f.values for f in ordered])
+def stack_time_step_features(pooled: np.ndarray) -> np.ndarray:
+    """(3, 4, n) pooled frames -> (4, 3n) classifier input: one row per
+    time-step (reference joint), its three channel blocks in clip order."""
+    if pooled.ndim != 3 or pooled.shape[:2] != (3, 4):
+        raise ValueError(f"pooled features must be (3, 4, n), got {pooled.shape}")
+    return pooled.transpose(1, 0, 2).reshape(4, -1)
 
 
 # ---------------------------------------------------------------------------
 # Feature map files
 
 
-def load_feature_map_stack(path: str | Path) -> list[TimeStepFeature]:
+def load_feature_map_stack(path: str | Path) -> np.ndarray:
     """Ingest a precomputed (3, 4, H, W, C) feature-map stack for one sequence
-    and pool it into the four time-step features."""
+    and pool it into the (3, 4, W*C) array ``build_time_step_features`` returns."""
     arr = read_tensor(path)
     if arr.ndim != 5 or arr.shape[:2] != (3, 4) or min(arr.shape) < 1:
         raise TensorFormatError(
@@ -252,4 +233,4 @@ def load_feature_map_stack(path: str | Path) -> list[TimeStepFeature]:
         )
     if not np.isfinite(arr).all():
         raise TensorFormatError("feature-map stack contains non-finite values")
-    return _time_step_features(_pool(arr.astype(np.float64)))
+    return _pool(arr.astype(np.float64))

@@ -230,27 +230,22 @@ def dataset_mean_loss(params: MtlnParams, x: np.ndarray, labels: np.ndarray) -> 
 
 
 def train(
-    samples: Sequence[tuple[np.ndarray, int]] | np.ndarray,
+    samples: np.ndarray,
     cfg: TrainConfig,
     n_classes: int,
-    labels: np.ndarray | None = None,
+    labels: np.ndarray,
 ) -> tuple[MtlnParams, list[float]]:
     """Mini-batch SGD on the batch-mean of the summed task losses.
 
-    ``samples`` is either a sequence of ((K, d) array, label) pairs or an
-    (N, K, d) array with ``labels`` given separately. Data is reshuffled
-    every epoch with the seeded generator; updates are plain
-    p <- p - lr * g. Returns the final parameters and a loss curve whose
-    first entry is the dataset mean loss at initialization followed by one
-    mean training loss per epoch. Raises TrainingDivergedError if the loss
-    stops being finite.
+    ``samples`` is an (N, K, d) array and ``labels`` its N class indices.
+    Data is reshuffled every epoch with the seeded generator; updates are
+    plain p <- p - lr * g. Returns the final parameters and a loss curve
+    whose first entry is the dataset mean loss at initialization followed
+    by one mean training loss per epoch. Raises TrainingDivergedError if
+    the loss stops being finite.
     """
-    if labels is None:
-        x = np.stack([np.asarray(f, dtype=np.float64) for f, _ in samples])
-        y = np.array([label for _, label in samples], dtype=np.intp)
-    else:
-        x = np.asarray(samples, dtype=np.float64)
-        y = np.asarray(labels, dtype=np.intp)
+    x = np.asarray(samples, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.intp)
     if x.ndim != 3 or len(x) == 0:
         raise ValueError(f"need a non-empty (N, K, d) feature array, got {x.shape}")
     if y.shape != (len(x),):
@@ -328,34 +323,34 @@ def predict_multi_sample(
 
 
 _CHECKPOINT_MAGIC = "skelclip-model 1"
+_NET_TENSORS = ("W1", "b1", "W2", "b2")
 
 
 def save_checkpoint(
     path: str | Path,
-    models: dict[str, MtlnParams],
+    nets: Sequence[MtlnParams],
     mode: str,
     seed: int,
     extra_tensors: dict[str, np.ndarray] | None = None,
 ) -> None:
-    """Write one or more parameter sets (keyed by name prefix) plus metadata.
+    """Write a mode's nets in order, plus metadata and extra tensors.
 
-    A single-model checkpoint stores tensors W1 b1 W2 b2; multi-model
-    checkpoints (the per-frame baseline) prefix each name with the model key.
+    One net is stored as tensors W1 b1 W2 b2; several nets (the per-frame
+    baseline) as ``<mode><i>.W1`` and so on.
     """
-    if not models:
-        raise ValueError("need at least one model to save")
+    if not nets:
+        raise ValueError("need at least one net to save")
     names: list[str] = []
     tensors: list[np.ndarray] = []
-    first = next(iter(models.values()))
-    for key, params in models.items():
-        prefix = f"{key}." if len(models) > 1 or key != "model" else ""
-        for tname, arr in (("W1", params.W1), ("b1", params.b1),
-                           ("W2", params.W2), ("b2", params.b2)):
+    for i, params in enumerate(nets):
+        prefix = f"{mode}{i}." if len(nets) > 1 else ""
+        for tname in _NET_TENSORS:
             names.append(prefix + tname)
-            tensors.append(arr)
+            tensors.append(getattr(params, tname))
     for tname, arr in (extra_tensors or {}).items():
         names.append(tname)
         tensors.append(np.asarray(arr))
+    first = nets[0]
     header = (
         f"{_CHECKPOINT_MAGIC}\n"
         f"mode {mode}\n"
@@ -372,8 +367,10 @@ def save_checkpoint(
             write_tensor(fh, arr.astype(np.float32))
 
 
-def load_checkpoint(path: str | Path):
-    """Returns (models dict, meta dict, extra tensors dict)."""
+def load_checkpoint(
+    path: str | Path,
+) -> tuple[list[MtlnParams], dict[str, str], dict[str, np.ndarray]]:
+    """Returns (nets in header order, meta dict, extra tensors dict)."""
     with open(path, "rb") as fh:
         meta: dict[str, str] = {}
         first = fh.readline().decode("ascii", errors="replace").rstrip("\n")
@@ -396,14 +393,9 @@ def load_checkpoint(path: str | Path):
     groups: dict[str, dict[str, np.ndarray]] = {}
     extra: dict[str, np.ndarray] = {}
     for name, arr in tensors.items():
-        prefix, dot, leaf = name.rpartition(".")
-        key = prefix if dot else "model"
-        if leaf in ("W1", "b1", "W2", "b2"):
-            groups.setdefault(key, {})[leaf] = arr
+        prefix, _, leaf = name.rpartition(".")
+        if leaf in _NET_TENSORS:
+            groups.setdefault(prefix, {})[leaf] = arr
         else:
             extra[name] = arr
-    models = {
-        key: MtlnParams(W1=parts["W1"], b1=parts["b1"], W2=parts["W2"], b2=parts["b2"])
-        for key, parts in groups.items()
-    }
-    return models, meta, extra
+    return [MtlnParams(**parts) for parts in groups.values()], meta, extra

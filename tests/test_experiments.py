@@ -258,7 +258,7 @@ def test_memorization_bound(tiny_dataset, tiny_protocol):
     features = compute_features(manifest, loader, config)
     [(train_manifest, test_manifest)] = make_splits(manifest, tiny_protocol)
 
-    train_x = np.stack([features[e.path]["plain"][0] for e in train_manifest.entries])
+    train_x = np.stack([features[e.path][0][0] for e in train_manifest.entries])
     train_y = np.array([e.label for e in train_manifest.entries])
     scaler = FeatureScaler.fit(train_x)
     train_x = scaler.apply(train_x)
@@ -266,7 +266,7 @@ def test_memorization_bound(tiny_dataset, tiny_protocol):
 
     def groups(entries):
         return [
-            (e.label, [scaler.apply(features[e.path]["plain"][0])]) for e in entries
+            (e.label, [scaler.apply(features[e.path][0][0])]) for e in entries
         ]
 
     train_acc, _ = evaluate_mode("mtln", models, groups(train_manifest.entries), 3)
@@ -405,7 +405,6 @@ def test_crop_offsets_differ_between_entries(fig16, make_sequence, rng, monkeypa
     # two entries (one of them two-body) holding the same skeleton: each
     # entry and body draws its own crop offsets from the one augment_seed
     import skelclip.experiments as experiments
-    from skelclip import TimeStepFeature
 
     seq = make_sequence(fig16, 8, rng)
     manifest = DatasetManifest(
@@ -416,18 +415,17 @@ def test_crop_offsets_differ_between_entries(fig16, make_sequence, rng, monkeypa
     table = {"a.json": [seq], "b.json": [seq, seq]}
 
     def pixels_as_features(cs, spec):
-        frames = cs.as_array().astype(np.float64)  # (3, 4, S, S)
-        return [TimeStepFeature(values=frames[:, r].ravel(), time_step=r) for r in range(4)]
+        return cs.as_array().astype(np.float64).reshape(3, 4, -1)  # (3, 4, S*S)
 
     monkeypatch.setattr(experiments, "build_time_step_features", pixels_as_features)
     config = PipelineConfig(augment_count=3, augment_seed=3)
     out = experiments.compute_features(manifest, lambda p: table[p], config)
-    a, b0, b1 = out["a.json"]["crops"], out["b.json"]["crops"][:3], out["b.json"]["crops"][3:]
+    a, b0, b1 = out["a.json"][1], out["b.json"][1][:3], out["b.json"][1][3:]
     assert len(a) == len(b0) == len(b1) == 3
     for one, other in ((a, b0), (a, b1), (b0, b1)):
         assert not all(np.array_equal(x, y) for x, y in zip(one, other))
     again = experiments.compute_features(manifest, lambda p: table[p], config)
-    assert all(np.array_equal(x, y) for x, y in zip(a, again["a.json"]["crops"]))
+    assert all(np.array_equal(x, y) for x, y in zip(a, again["a.json"][1]))
 
 
 @pytest.mark.parametrize("mode", ["mtln", "frame", "concat", "maxpool"])

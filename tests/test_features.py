@@ -273,25 +273,24 @@ def test_pool_map_major_order():
 
 def test_time_step_features_dims(fig16, rng):
     cs = generate_clips(random_sequence(fig16, 7, rng))
-    feats = build_time_step_features(cs, ExtractorSpec(channels=8, seed=1))
-    assert len(feats) == 4
-    assert [f.time_step for f in feats] == [0, 1, 2, 3]
-    for f in feats:
-        assert f.values.shape == (3 * 14 * 8,)
-        assert f.values.min() >= 0.0
+    pooled = build_time_step_features(cs, ExtractorSpec(channels=8, seed=1))
+    assert pooled.shape == (3, 4, 14 * 8)
+    assert pooled.dtype == np.float64
+    assert stack_time_step_features(pooled).shape == (4, 3 * 14 * 8)
+    assert pooled.min() >= 0.0
 
 
 def test_time_step_features_match_per_frame_path(fig16, rng):
     # the batched path must agree with extracting frames one at a time
     cs = generate_clips(random_sequence(fig16, 5, rng), ClipOptions(size=32))
     spec = ExtractorSpec(channels=4, seed=3, stage_widths=(2,))
-    feats = build_time_step_features(cs, spec)
+    feats = stack_time_step_features(build_time_step_features(cs, spec))
     for r in range(4):
         parts = []
         for c in range(3):
             fm = FeatureMaps(maps=extract_frame(cs.pixels[c, r], spec))
             parts.append(temporal_mean_pool(fm).values)
-        assert np.abs(feats[r].values - np.concatenate(parts)).max() <= 1e-12
+        assert np.abs(feats[r] - np.concatenate(parts)).max() <= 1e-12
 
 
 def test_zero_clipset_gives_zero_features(fig16):
@@ -300,16 +299,19 @@ def test_zero_clipset_gives_zero_features(fig16):
 
     cs = generate_clips(SkeletonSequence(layout=fig16, frames=seq_frames))
     feats = build_time_step_features(cs, ExtractorSpec(channels=8))
-    for f in feats:
-        assert np.all(f.values == 0.0)
+    assert np.all(feats == 0.0)
 
 
 def test_stack_time_step_features(fig16, rng):
     cs = generate_clips(random_sequence(fig16, 5, rng), ClipOptions(size=32))
-    feats = build_time_step_features(cs, ExtractorSpec(channels=4, stage_widths=(2,)))
-    stacked = stack_time_step_features(feats)
-    assert stacked.shape == (4, feats[0].values.shape[0])
-    assert np.array_equal(stacked[2], feats[2].values)
+    pooled = build_time_step_features(cs, ExtractorSpec(channels=4, stage_widths=(2,)))
+    stacked = stack_time_step_features(pooled)
+    assert stacked.shape == (4, 3 * pooled.shape[2])
+    for r in range(4):  # one row per time-step, channel blocks in clip order
+        assert np.array_equal(stacked[r], np.concatenate(pooled[:, r]))
+    for bad in (pooled[:2], pooled[:, :3], pooled[0]):
+        with pytest.raises(ValueError, match=r"\(3, 4, n\)"):
+            stack_time_step_features(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -344,17 +346,17 @@ def test_feature_map_stack_pooling(tmp_path, rng):
     stack = rng.standard_normal((3, 4, 6, 5, 2)).astype(np.float32)
     path = tmp_path / "s.fmaps.sktf"
     write_tensor(path, stack)
-    feats = load_feature_map_stack(path)
-    assert len(feats) == 4
+    feats = stack_time_step_features(load_feature_map_stack(path))
+    assert feats.shape == (4, 3 * 5 * 2)
     for r, f in enumerate(feats):
         expect = np.concatenate(
             [pool_oracle(stack[c, r].astype(np.float64)) for c in range(3)]
         )
-        assert np.abs(f.values - expect).max() <= 1e-12
+        assert np.abs(f - expect).max() <= 1e-12
         # pooling the whole stack at once matches pooling map by map exactly
         per_map = [temporal_mean_pool(FeatureMaps(maps=stack[c, r].astype(np.float64))).values
                    for c in range(3)]
-        assert np.array_equal(f.values, np.concatenate(per_map))
+        assert np.array_equal(f, np.concatenate(per_map))
 
 
 def test_feature_map_stack_bad_shape(tmp_path, rng):

@@ -447,7 +447,7 @@ def test_init_params_bounds(rng):
 def test_checkpoint_round_trip(tmp_path, rng):
     params = make_params(6, 4, 3, rng)
     path = tmp_path / "model.sktf"
-    save_checkpoint(path, {"model": params}, mode="mtln", seed=7,
+    save_checkpoint(path, [params], mode="mtln", seed=7,
                     extra_tensors={"feat_mean": rng.standard_normal((4, 6))})
     models, meta, extra = load_checkpoint(path)
     assert meta["mode"] == "mtln"
@@ -455,7 +455,7 @@ def test_checkpoint_round_trip(tmp_path, rng):
     assert meta["h"] == "4"
     assert meta["n_classes"] == "3"
     assert meta["seed"] == "7"
-    back = models["model"]
+    [back] = models
     for name in ("W1", "b1", "W2", "b2"):
         assert np.array_equal(
             getattr(back, name), getattr(params, name).astype(np.float32).astype(np.float64)
@@ -464,11 +464,14 @@ def test_checkpoint_round_trip(tmp_path, rng):
 
 
 def test_checkpoint_multi_model(tmp_path, rng):
-    models = {f"frame{i}": make_params(5, 3, 2, rng) for i in range(4)}
+    models = [make_params(5, 3, 2, rng) for _ in range(4)]
     path = tmp_path / "model.sktf"
     save_checkpoint(path, models, mode="frame", seed=0)
+    assert b"tensors frame0.W1 frame0.b1 frame0.W2 frame0.b2 frame1.W1" in path.read_bytes()
     back, meta, _ = load_checkpoint(path)
-    assert sorted(back) == [f"frame{i}" for i in range(4)]
+    assert len(back) == 4
+    for got, want in zip(back, models):  # header order is the nets' order
+        assert np.array_equal(got.W1, want.W1.astype(np.float32))
     assert meta["mode"] == "frame"
 
 
