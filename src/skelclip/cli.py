@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .clips import ClipOptions, ClipSet, generate_clips, write_pgm
-from .config import parse_int_list, read_kv
+from .config import ConfigFile, parse_bool, parse_int_list
 from .errors import SkelclipError, StageError
 from .experiments import (
     FeatureScaler,
@@ -34,7 +34,15 @@ from .features import (
     stack_time_step_features,
 )
 from .layouts import load_layout
-from .multitask import TrainConfig, load_checkpoint, mode_inputs, predict_proba, save_checkpoint
+from .multitask import (
+    MODES,
+    TASK_COUNT,
+    TrainConfig,
+    load_checkpoint,
+    mode_inputs,
+    predict_proba,
+    save_checkpoint,
+)
 from .skeleton_io import load_sequences, parse_manifest, write_canonical, write_manifest
 from .synthetic import SynthConfig, generate_synthetic
 from .tensorio import read_tensor, write_tensor
@@ -111,6 +119,21 @@ def _feature_files_for(feature_dir: Path, entry_path: str) -> list[Path]:
     return sorted(feature_dir.glob(f"{stem}.b*.feat.sktf"))
 
 
+def _read_features(path: Path, stage: str, width: int | None = None) -> np.ndarray:
+    """One finite float32 (4, d) feature file as float64, with d = ``width``
+    when one is given; a bad file fails as a StageError naming it."""
+    with _stage(stage, path):
+        arr = read_tensor(path)
+        if arr.dtype != np.float32 or arr.ndim != 2 or arr.shape[0] != TASK_COUNT or not arr.size:
+            raise ValueError(f"expected a float32 (4, d) feature tensor, "
+                             f"got {arr.dtype} {arr.shape}")
+        if width is not None and arr.shape[1] != width:
+            raise ValueError(f"expected d = {width}, got {arr.shape[1]}")
+        if not np.isfinite(arr).all():
+            raise ValueError("feature tensor contains non-finite values")
+    return arr.astype(np.float64)
+
+
 def _cmd_train(args) -> int:
     layout = load_layout(args.layout)
     manifest = parse_manifest(
@@ -123,7 +146,7 @@ def _cmd_train(args) -> int:
         if not files:
             raise StageError("train", f"no feature file for manifest entry {entry.path}")
         for path in files:
-            xs.append(read_tensor(path).astype(np.float64))
+            xs.append(_read_features(path, "train", xs[0].shape[1] if xs else None))
             ys.append(entry.label)
     x = np.stack(xs)
     y = np.array(ys, dtype=np.intp)
@@ -160,17 +183,22 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     models, meta, extra = load_checkpoint(args.model)
-    mode = meta.get("mode", "mtln")
-    scaler = FeatureScaler(
-        mean=extra["feat_mean"], scale=float(extra["feat_scale"][0])
-    ) if "feat_mean" in extra else None
+    mode = meta["mode"]
+    width = models[0].input_dim // (TASK_COUNT if mode == "concat" else 1)
+    scaler = None
+    if "feat_mean" in extra:
+        mean, scale = extra["feat_mean"], extra.get("feat_scale", np.empty(0))
+        if mean.shape != (TASK_COUNT, width) or scale.shape != (1,):
+            raise StageError("predict", f"{args.model}: feat_mean and feat_scale do not "
+                                        f"fit the nets' d = {width}")
+        scaler = FeatureScaler(mean=mean, scale=float(scale[0]))
 
     feature_dir = Path(args.features)
     files = sorted(feature_dir.glob("*.feat.sktf"))
     if not files:
         raise StageError("predict", f"no feature files in {feature_dir}")
     for path in files:
-        feats = read_tensor(path).astype(np.float64)
+        feats = _read_features(path, "predict", width)
         if scaler is not None:
             feats = scaler.apply(feats)
         nets = zip(models, mode_inputs(mode, feats[None]), strict=True)
@@ -180,59 +208,75 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _protocol_from_config(kv: dict[str, str]) -> tuple[SplitProtocol, int]:
-    kind = kv.get("protocol", "cross-subject")
-    split_seed = int(kv.get("split_seed", "0"))
+_EVAL_KEYS = (
+    "layout", "manifest", "classes", "modes",
+    "protocol", "split_seed", "folds",
+    "train_subjects", "test_subjects", "train_cameras", "test_cameras",
+    "coords", "scale", "size", "channels", "extractor_seed",
+    "lr", "batch", "epochs", "train_seed", "hidden",
+    "augment", "augment_seed", "standardize", "test_average_crops",
+)
+
+
+def _protocol_from_config(cfg: ConfigFile) -> tuple[SplitProtocol, int]:
+    kind = cfg.get("protocol", str, "cross-subject")
+    split_seed = cfg.get("split_seed", int, 0)
     if kind == "k-fold":
-        return SplitProtocol(kind="k-fold", fold_count=int(kv.get("folds", "5"))), split_seed
-    if kind == "cross-subject":
-        train_ids = frozenset(parse_int_list(kv["train_subjects"]))
-        test_ids = frozenset(parse_int_list(kv["test_subjects"]))
-    elif kind == "cross-view":
-        train_ids = frozenset(parse_int_list(kv["train_cameras"]))
-        test_ids = frozenset(parse_int_list(kv["test_cameras"]))
-    else:
-        raise ValueError(f"unknown protocol {kind!r}")
+        return SplitProtocol(kind="k-fold", fold_count=cfg.get("folds", int, 5)), split_seed
+    if kind not in ("cross-subject", "cross-view"):
+        raise ValueError(f"protocol: expected cross-subject, cross-view or k-fold, got {kind!r}")
+    ids = "subjects" if kind == "cross-subject" else "cameras"
+    train_ids, test_ids = (
+        frozenset(cfg.get(f"{side}_{ids}", parse_int_list)) for side in ("train", "test")
+    )
     return SplitProtocol(kind=kind, train_ids=train_ids, test_ids=test_ids), split_seed
 
 
-def pipeline_from_config(kv: dict[str, str]) -> PipelineConfig:
+def pipeline_from_config(cfg: ConfigFile) -> PipelineConfig:
     return PipelineConfig(
         clip_options=ClipOptions(
-            coords=kv.get("coords", "cylindrical"),
-            scale_scope=kv.get("scale", "frame"),
-            size=int(kv.get("size", "224")),
+            coords=cfg.get("coords", str, "cylindrical"),
+            scale_scope=cfg.get("scale", str, "frame"),
+            size=cfg.get("size", int, 224),
         ),
         extractor=ExtractorSpec(
-            channels=int(kv.get("channels", "64")),
-            seed=int(kv.get("extractor_seed", "0")),
+            channels=cfg.get("channels", int, 64),
+            seed=cfg.get("extractor_seed", int, 0),
         ),
         train=TrainConfig(
-            learning_rate=float(kv.get("lr", "0.001")),
-            batch_size=int(kv.get("batch", "100")),
-            epochs=int(kv.get("epochs", "35")),
-            seed=int(kv.get("train_seed", "0")),
-            hidden=int(kv.get("hidden", "512")),
+            learning_rate=cfg.get("lr", float, 0.001),
+            batch_size=cfg.get("batch", int, 100),
+            epochs=cfg.get("epochs", int, 35),
+            seed=cfg.get("train_seed", int, 0),
+            hidden=cfg.get("hidden", int, 512),
         ),
-        augment_count=int(kv.get("augment", "0")),
-        augment_seed=int(kv.get("augment_seed", "0")),
-        standardize=kv.get("standardize", "true").lower() != "false",
-        test_average_crops=kv.get("test_average_crops", "false").lower() == "true",
+        augment_count=cfg.get("augment", int, 0),
+        augment_seed=cfg.get("augment_seed", int, 0),
+        standardize=cfg.get("standardize", parse_bool, True),
+        test_average_crops=cfg.get("test_average_crops", parse_bool, False),
     )
+
+
+def _parse_modes(value: str) -> list[str]:
+    modes = [m.strip() for m in value.split(",") if m.strip()]
+    if not modes or any(m not in MODES for m in modes):
+        raise ValueError(f"expected a comma-separated list of {', '.join(MODES)}, got {value!r}")
+    return modes
 
 
 def _cmd_eval(args) -> int:
-    kv = read_kv(args.config)
-    layout = load_layout(kv.get("layout", "figure2-16"))
+    cfg = ConfigFile(args.config, _EVAL_KEYS)
+    with cfg.checking():
+        protocol, split_seed = _protocol_from_config(cfg)
+        config = pipeline_from_config(cfg)
+    modes = cfg.get("modes", _parse_modes, ["mtln"])
+    layout = load_layout(cfg.get("layout", str, "figure2-16"))
     data = Path(args.data)
-    manifest_path = data / kv.get("manifest", "manifest.txt")
-    class_count = int(kv["classes"]) if "classes" in kv else None
+    manifest_path = data / cfg.get("manifest", str, "manifest.txt")
+    class_count = cfg.get("classes", int, None)
     manifest = parse_manifest(
         manifest_path.read_text(encoding="utf-8"), layout, class_count=class_count
     )
-    protocol, split_seed = _protocol_from_config(kv)
-    config = pipeline_from_config(kv)
-    modes = [m.strip() for m in kv.get("modes", "mtln").split(",") if m.strip()]
     report = run_experiment(
         manifest,
         directory_loader(data, manifest),

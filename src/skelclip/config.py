@@ -1,13 +1,15 @@
 """Plain-text ``key = value`` config files.
 
 One setting per line, ``#`` starts a comment, blank lines ignored. Values
-stay strings; callers convert. Used for joint layouts, experiment configs
-and rendered result files.
+stay strings; callers convert, through ``ConfigFile`` for files a user
+writes. Used for joint layouts, experiment configs and rendered result files.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Any, Callable, Collection
 
 from .errors import ParseError
 
@@ -30,8 +32,56 @@ def parse_kv(text: str) -> dict[str, str]:
     return out
 
 
-def read_kv(path: str | Path) -> dict[str, str]:
-    return parse_kv(Path(path).read_text(encoding="utf-8"))
+_REQUIRED = object()
+
+
+class ConfigFile:
+    """A config file checked against the keys it may hold.
+
+    Every failure is a ParseError naming the file: a malformed line, a key
+    outside ``known``, through ``get`` a missing or unconvertible value,
+    which also names the key, and inside ``checking`` a rejected value.
+    """
+
+    def __init__(self, path: str | Path, known: Collection[str]):
+        self.path = path
+        try:
+            self.values = parse_kv(Path(path).read_text(encoding="utf-8"))
+        except (ParseError, UnicodeDecodeError) as exc:
+            raise ParseError(f"{path}: {exc}") from None
+        unknown = sorted(self.values.keys() - set(known))
+        if unknown:
+            raise ParseError(f"{path}: unknown key {', '.join(unknown)}")
+
+    def get(self, key: str, convert: Callable[[str], Any] = str, default: Any = _REQUIRED):
+        """``convert(value)``, or ``default`` when the key is absent; a key
+        without a default is required."""
+        if key not in self.values:
+            if default is _REQUIRED:
+                raise ParseError(f"{self.path}: missing key {key}")
+            return default
+        try:
+            return convert(self.values[key])
+        except ValueError as exc:
+            raise ParseError(f"{self.path}: {key}: {exc}") from None
+
+    @contextmanager
+    def checking(self):
+        """Re-raise a ValueError from checks on the converted values (a
+        dataclass rejecting a range, say) as a ParseError naming the file."""
+        try:
+            yield
+        except ParseError:
+            raise
+        except ValueError as exc:
+            raise ParseError(f"{self.path}: {exc}") from None
+
+
+def parse_bool(value: str) -> bool:
+    """``true`` or ``false``, in any case."""
+    if value.lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value.lower() == "true"
 
 
 def parse_int_list(value: str) -> list[int]:

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
-from .config import parse_int_list, read_kv
+from .config import ConfigFile, parse_int_list
 
 REFERENCE_JOINT_COUNT = 4
 
@@ -113,27 +112,23 @@ BUILTIN_LAYOUTS = {
 }
 
 
-def load_layout(source: str | Path | Mapping[str, str]) -> JointLayout:
-    """Resolve a layout from a built-in name, a config file path, or a mapping.
+def load_layout(source: str | Path) -> JointLayout:
+    """Resolve a layout from a built-in name or a config file path.
 
     Config keys: ``name``, ``joint_count``, ``chain`` and ``reference_joints``
-    (both comma-separated 0-based indices, ranges like ``0-15`` allowed).
+    (both comma-separated 0-based indices, ranges like ``0-15`` allowed). Any
+    other key, a missing or bad value, or an invalid layout fails as a
+    ParseError naming the file.
     """
-    if isinstance(source, str):
-        if source in BUILTIN_LAYOUTS:
-            return BUILTIN_LAYOUTS[source]
-        if not Path(source).exists():
-            raise ValueError(f"unknown layout {source!r}: not a built-in name or config file")
-    if isinstance(source, (str, Path)):
-        pairs = read_kv(source)
-    else:
-        pairs = dict(source)
-    missing = {"name", "joint_count", "chain", "reference_joints"} - pairs.keys()
-    if missing:
-        raise ValueError(f"layout config missing keys: {sorted(missing)}")
-    return JointLayout(
-        name=pairs["name"],
-        joint_count=int(pairs["joint_count"]),
-        chain_order=tuple(parse_int_list(pairs["chain"])),
-        reference_joints=tuple(parse_int_list(pairs["reference_joints"])),
-    )
+    if isinstance(source, str) and source in BUILTIN_LAYOUTS:
+        return BUILTIN_LAYOUTS[source]
+    if not Path(source).exists():
+        raise ValueError(f"unknown layout {str(source)!r}: not a built-in name or config file")
+    cfg = ConfigFile(source, ("name", "joint_count", "chain", "reference_joints"))
+    with cfg.checking():
+        return JointLayout(
+            name=cfg.get("name"),
+            joint_count=cfg.get("joint_count", int),
+            chain_order=tuple(cfg.get("chain", parse_int_list)),
+            reference_joints=tuple(cfg.get("reference_joints", parse_int_list)),
+        )

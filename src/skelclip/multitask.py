@@ -370,32 +370,56 @@ def save_checkpoint(
 def load_checkpoint(
     path: str | Path,
 ) -> tuple[list[MtlnParams], dict[str, str], dict[str, np.ndarray]]:
-    """Returns (nets in header order, meta dict, extra tensors dict)."""
-    with open(path, "rb") as fh:
-        meta: dict[str, str] = {}
-        first = fh.readline().decode("ascii", errors="replace").rstrip("\n")
-        if first != _CHECKPOINT_MAGIC:
-            raise ParseError(f"not a model checkpoint: {first!r}")
-        names: list[str] = []
-        while True:
-            line = fh.readline().decode("ascii", errors="replace").rstrip("\n")
-            if line == "end":
-                break
-            if not line:
-                raise ParseError("unterminated checkpoint header")
-            key, _, value = line.partition(" ")
-            if key == "tensors":
-                names = value.split()
-            else:
-                meta[key] = value
-        tensors = {name: read_tensor(fh).astype(np.float64) for name in names}
+    """Returns (nets in header order, meta dict, extra tensors dict).
 
-    groups: dict[str, dict[str, np.ndarray]] = {}
-    extra: dict[str, np.ndarray] = {}
-    for name, arr in tensors.items():
-        prefix, _, leaf = name.rpartition(".")
-        if leaf in _NET_TENSORS:
-            groups.setdefault(prefix, {})[leaf] = arr
-        else:
-            extra[name] = arr
-    return [MtlnParams(**parts) for parts in groups.values()], meta, extra
+    A malformed header or tensor, a net without all of W1 b1 W2 b2, a mode
+    outside MODES, a net count that does not fit the mode (four for frame,
+    one otherwise) or weights that are inconsistent or do not fit the mode
+    raise a ParseError naming the file.
+    """
+    try:
+        with open(path, "rb") as fh:
+            meta: dict[str, str] = {}
+            first = fh.readline().decode("ascii", errors="replace").rstrip("\n")
+            if first != _CHECKPOINT_MAGIC:
+                raise ParseError(f"not a model checkpoint: {first!r}")
+            names: list[str] = []
+            while True:
+                line = fh.readline().decode("ascii", errors="replace").rstrip("\n")
+                if line == "end":
+                    break
+                if not line:
+                    raise ParseError("unterminated checkpoint header")
+                key, _, value = line.partition(" ")
+                if key == "tensors":
+                    names = value.split()
+                else:
+                    meta[key] = value
+            tensors = {name: read_tensor(fh).astype(np.float64) for name in names}
+
+        groups: dict[str, dict[str, np.ndarray]] = {}
+        extra: dict[str, np.ndarray] = {}
+        for name, arr in tensors.items():
+            prefix, _, leaf = name.rpartition(".")
+            if leaf in _NET_TENSORS:
+                groups.setdefault(prefix, {})[leaf] = arr
+            else:
+                extra[name] = arr
+        mode = meta.get("mode")
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        want = TASK_COUNT if mode == "frame" else 1
+        if len(groups) != want:
+            raise ValueError(f"mode {mode} needs {want} net(s), found {len(groups)}")
+        for prefix, parts in groups.items():
+            missing = [f"{prefix}.{t}" if prefix else t for t in _NET_TENSORS if t not in parts]
+            if missing:
+                raise ValueError(f"missing tensor {' '.join(missing)}")
+        nets = [MtlnParams(**parts) for parts in groups.values()]
+        if len({(net.W1.shape, net.W2.shape) for net in nets}) > 1:
+            raise ValueError("nets differ in shape")
+        if mode == "concat" and nets[0].input_dim % TASK_COUNT:
+            raise ValueError(f"a concat net's input width {nets[0].input_dim} is not 4 * d")
+    except ValueError as exc:  # ParseError and TensorFormatError included
+        raise ParseError(f"{path}: {exc}") from None
+    return nets, meta, extra

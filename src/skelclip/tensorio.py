@@ -8,6 +8,8 @@ single stream; readers consume exactly one tensor per call.
 
 from __future__ import annotations
 
+import io
+import math
 import struct
 from pathlib import Path
 from typing import BinaryIO
@@ -58,7 +60,12 @@ def read_tensor(src: str | Path | BinaryIO) -> np.ndarray:
 
 
 def _read_exact(fh: BinaryIO, n: int) -> bytes:
-    data = fh.read(n)
+    want = n
+    if fh.seekable():  # measured first, so a corrupt size allocates no more than the file holds
+        here = fh.tell()
+        want = min(n, fh.seek(0, io.SEEK_END) - here)
+        fh.seek(here)
+    data = fh.read(want)
     if len(data) != n:
         raise TensorFormatError(f"truncated file: wanted {n} bytes, got {len(data)}")
     return data
@@ -74,7 +81,7 @@ def _read_stream(fh: BinaryIO) -> np.ndarray:
         raise TensorFormatError(f"unknown dtype code {code}")
     dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank))
     dtype = _DTYPE_CODES[code]
-    count = int(np.prod(dims, dtype=np.int64)) if rank else 1
+    count = math.prod(dims)
     payload = _read_exact(fh, count * dtype.itemsize)
     arr = np.frombuffer(payload, dtype=dtype).reshape(dims)
     if code == 0:

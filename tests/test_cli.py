@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -269,3 +270,114 @@ def test_extract_any_small_tensor_fails_cleanly(arr):
     assert err.getvalue().startswith("skelclip: [extract] ")
     assert "x.clips.sktf" in err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+def train_args(feature_dir, synth_dir, model, *extra):
+    return ("train", "--features", feature_dir, "--manifest", synth_dir / "manifest.txt",
+            "--epochs", 2, "--batch", 8, "--hidden", 8, "--out", model, *extra)
+
+
+@pytest.mark.parametrize("arr, message", [
+    (np.zeros((4, 6), dtype=np.float32), "expected d = 24, got 6"),
+    (np.zeros((4, 24), dtype=np.uint8), r"expected a float32 \(4, d\) feature tensor"),
+    (np.zeros((3, 24), dtype=np.float32), r"expected a float32 \(4, d\) feature tensor"),
+    (np.full((4, 24), np.nan, dtype=np.float32), "non-finite"),
+])
+def test_train_rejects_bad_feature_file(synth_dir, feature_dir, tmp_path, capsys, arr, message):
+    bad = sorted(feature_dir.glob("*.feat.sktf"))[-1]
+    write_tensor(bad, arr)
+    model = tmp_path / "model.sktf"
+    assert run_cli(*train_args(feature_dir, synth_dir, model)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"skelclip: [train] {bad}: ")
+    assert re.search(message, err)
+    assert not model.exists()
+
+
+def test_predict_rejects_feature_file_of_another_width(synth_dir, feature_dir, tmp_path,
+                                                       capsys):
+    model = tmp_path / "model.sktf"
+    assert run_cli(*train_args(feature_dir, synth_dir, model, "--mode", "concat")) == 0
+    bad = feature_dir / "zz.feat.sktf"
+    write_tensor(bad, np.zeros((4, 5), dtype=np.float32))
+    capsys.readouterr()
+    assert run_cli("predict", "--model", model, "--features", feature_dir) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"skelclip: [predict] {bad}: expected d = 24, got 5")
+
+
+def test_predict_rejects_scaler_of_another_width(tmp_path, rng, capsys):
+    from skelclip import MtlnParams, save_checkpoint
+
+    net = MtlnParams(W1=rng.standard_normal((5, 3)), b1=np.zeros(3),
+                     W2=rng.standard_normal((3, 2)), b2=np.zeros(2))
+    model = tmp_path / "model.sktf"
+    save_checkpoint(model, [net], mode="mtln", seed=0,
+                    extra_tensors={"feat_mean": np.zeros((4, 6)), "feat_scale": np.ones(1)})
+    feats = tmp_path / "feats"
+    feats.mkdir()
+    write_tensor(feats / "a.feat.sktf", np.zeros((4, 5), dtype=np.float32))
+    assert run_cli("predict", "--model", model, "--features", feats) == 1
+    assert "feat_mean and feat_scale do not fit the nets' d = 5" in capsys.readouterr().err
+
+
+def test_predict_rejects_malformed_checkpoint(tmp_path, capsys):
+    model = tmp_path / "model.sktf"
+    model.write_bytes(b"skelclip-model 1\nmode frame\ntensors\nend\n")
+    assert run_cli("predict", "--model", model, "--features", tmp_path) == 1
+    assert capsys.readouterr().err == (
+        f"skelclip: {model}: mode frame needs 4 net(s), found 0\n")
+
+
+# ---------------------------------------------------------------------------
+# eval config files
+
+EVAL_CONFIG = (
+    "layout = figure2-16\n"
+    "size = 32\n"
+    "channels = 4\n"
+    "protocol = cross-subject\n"
+    "train_subjects = 0-2\n"
+    "test_subjects = 3\n"
+)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("", "epoch = 2\n"), "unknown key epoch"),
+    (("", "standardize = flase\n"), "standardize: expected true or false, got 'flase'"),
+    (("", "test_average_crops = yes\n"), "test_average_crops: expected true or false"),
+    (("size = 32", "size = abc"), "size: invalid literal for int()"),
+    (("train_subjects = 0-2\n", ""), "missing key train_subjects"),
+    (("test_subjects = 3", "test_subjects = 3-x"), "test_subjects: invalid literal"),
+    (("protocol = cross-subject", "protocol = cross-body"), "protocol: expected cross-subject"),
+    (("", "modes = mtln,frames\n"), "modes: expected a comma-separated list"),
+    (("", "epochs = 0\n"), "epochs must be >= 1"),
+    (("", "size\n"), "line 7: expected 'key = value'"),
+])
+def test_eval_config_faults_name_the_file_and_key(tmp_path, capsys, edit, message):
+    old, new = edit
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(EVAL_CONFIG.replace(old, new, 1) if old else EVAL_CONFIG + new)
+    assert run_cli("eval", "--config", cfg, "--data", tmp_path / "data",
+                   "--out", tmp_path / "run") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"skelclip: {cfg}: ")
+    assert message in err
+    assert not (tmp_path / "run").exists()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.binary(max_size=300))
+def test_eval_config_any_bytes_fail_cleanly(blob):
+    # every config that does not name a readable data set ends as one
+    # skelclip error line, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "exp.cfg"
+        cfg.write_bytes(blob)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli("eval", "--config", cfg, "--data", Path(tmp) / "none",
+                           "--out", Path(tmp) / "run")
+    assert code == 1
+    assert err.getvalue().startswith("skelclip: ")
+    assert err.getvalue().count("\n") == 1

@@ -330,6 +330,63 @@ def test_run_experiment_augmentation_trains_on_crops(fig16, tiny_protocol):
     assert report.mode("mtln").confusions[0].sum() == 4  # test side un-augmented
 
 
+@pytest.mark.parametrize("average_crops", [False, True])
+def test_run_experiment_crops_match_oracle(fig16, tiny_protocol, monkeypatch, average_crops):
+    # training sees only the crops; each test recording is scored on its
+    # plain sample, plus its crops with test_average_crops, exactly as
+    # evaluate_mode scores groups built from compute_features
+    from skelclip.experiments import evaluate_mode, train_mode
+
+    cfg = SynthConfig(layout=fig16, n_classes=2, t_min=8, t_max=12,
+                      sigma=0.05, samples_per_class=8, seed=4)
+    manifest, seqs = generate_synthetic(cfg)
+    loader = sequence_table_loader(manifest, seqs)
+    pipeline = PipelineConfig(
+        clip_options=ClipOptions(size=224),
+        extractor=ExtractorSpec(channels=2, seed=1, stage_widths=()),
+        train=TrainConfig(learning_rate=0.05, batch_size=8, epochs=2, seed=0, hidden=8),
+        augment_count=2,
+        augment_seed=3,
+        test_average_crops=average_crops,
+    )
+    trained = []
+
+    def recording_train_mode(mode, x, y, cfg, n_classes):
+        models, curves = train_mode(mode, x, y, cfg, n_classes)
+        trained.append((mode, x, y, models))
+        return models, curves
+
+    monkeypatch.setattr(experiments, "train_mode", recording_train_mode)
+    report = run_experiment(manifest, loader, tiny_protocol, pipeline, modes=("mtln", "frame"))
+
+    features = compute_features(manifest, loader, pipeline)
+    [(train_manifest, test_manifest)] = make_splits(manifest, tiny_protocol)
+    crops = np.stack([f for e in train_manifest.entries for f in features[e.path][1]])
+    scaler = FeatureScaler.fit(crops)
+    groups = []
+    for e in test_manifest.entries:
+        plain, test_crops = features[e.path]
+        samples = plain + test_crops if average_crops else plain
+        groups.append((e.label, [scaler.apply(f) for f in samples]))
+    assert all(len(samples) == (3 if average_crops else 1) for _, samples in groups)
+    assert [t[0] for t in trained] == [m.mode for m in report.modes]
+    for (mode, x, y, models), result in zip(trained, report.modes):
+        assert np.array_equal(x, scaler.apply(crops))
+        assert np.array_equal(y, np.repeat([e.label for e in train_manifest.entries], 2))
+        _, confusions = evaluate_mode(mode, models, groups, manifest.class_count)
+        for got, want in zip(result.confusions, confusions, strict=True):
+            assert np.array_equal(got, want)
+
+
+def test_entry_without_skeleton_fails_naming_it(tiny_dataset, tiny_protocol):
+    manifest, loader = tiny_dataset
+    empty = manifest.entries[2].path
+    with pytest.raises(StageError) as info:
+        run_experiment(manifest, lambda p: [] if p == empty else loader(p), tiny_protocol,
+                       tiny_pipeline(epochs=2), modes=("mtln",))
+    assert str(info.value) == f"[load] {empty}: no skeleton in the recording"
+
+
 def test_augmentation_size_guard(tiny_dataset, tiny_protocol):
     manifest, loader = tiny_dataset
     with pytest.raises((ValueError, StageError), match="224"):

@@ -1,8 +1,15 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skelclip import (
     MtlnParams,
+    ParseError,
+    SkelclipError,
     TrainConfig,
     TrainingDivergedError,
     backward,
@@ -480,3 +487,71 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"not a checkpoint\n")
     with pytest.raises(Exception, match="checkpoint"):
         load_checkpoint(path)
+
+
+def write_checkpoint(path, mode="mtln", nets=1, seed=5):
+    rng = np.random.default_rng(seed)
+    save_checkpoint(path, [make_params(5, 3, 2, rng) for _ in range(nets)], mode=mode, seed=0,
+                    extra_tensors={"feat_mean": rng.standard_normal((4, 5)),
+                                   "feat_scale": np.array([2.0])})
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("edit, message", [
+    ((b"tensors W1 b1 W2 b2", b"tensors W1 b1 W2 xx"), "missing tensor b2"),
+    ((b"mode mtln", b"mode frame"), "mode frame needs 4 net"),
+    ((b"mode mtln", b"mode bogus"), "unknown mode 'bogus'"),
+    ((b"\nmode mtln", b""), "unknown mode None"),
+])
+def test_checkpoint_header_faults_name_the_file(tmp_path, edit, message):
+    path = tmp_path / "model.sktf"
+    path.write_bytes(write_checkpoint(path).replace(*edit, 1))
+    with pytest.raises(ParseError, match=message) as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_checkpoint_frame_net_lacking_a_tensor(tmp_path):
+    path = tmp_path / "model.sktf"
+    data = write_checkpoint(path, mode="frame", nets=4)
+    path.write_bytes(data.replace(b"frame2.b1", b"frame2.c1", 1))
+    with pytest.raises(ParseError, match=r"missing tensor frame2\.b1"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_inconsistent_weights_rejected(tmp_path, rng):
+    path = tmp_path / "model.sktf"
+    good = make_params(5, 3, 2, rng)
+    save_checkpoint(path, [good], mode="mtln", seed=0)
+    # swap the two bias tensors' names: b1 now has 2 entries for 3 hidden units
+    path.write_bytes(path.read_bytes().replace(b"W1 b1 W2 b2", b"W1 b2 W2 b1", 1))
+    with pytest.raises(ParseError, match="inconsistent parameter shapes"):
+        load_checkpoint(path)
+    nets = [make_params(5, 3, 2, rng) for _ in range(3)] + [make_params(5, 4, 2, rng)]
+    save_checkpoint(path, nets, mode="frame", seed=0)
+    with pytest.raises(ParseError, match="differ in shape"):
+        load_checkpoint(path)
+    save_checkpoint(path, [make_params(10, 3, 2, rng)], mode="concat", seed=0)
+    with pytest.raises(ParseError, match="input width 10 is not 4 \\* d"):
+        load_checkpoint(path)
+
+
+@settings(max_examples=50, deadline=None)
+@given(mode=st.sampled_from(["mtln", "frame"]), data=st.data())
+def test_corrupt_checkpoint_loads_or_fails_cleanly(mode, data):
+    # a valid checkpoint truncated at any offset, or with one byte
+    # overwritten, either loads or raises a SkelclipError
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.sktf"
+        blob = bytearray(write_checkpoint(path, mode, 4 if mode == "frame" else 1))
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            blob[data.draw(st.integers(0, len(blob) - 1), label="offset")] = data.draw(
+                st.integers(0, 255), label="byte")
+        path.write_bytes(bytes(blob))
+        try:
+            nets, meta, _ = load_checkpoint(path)
+        except SkelclipError:
+            return
+    assert len(nets) == (4 if meta["mode"] == "frame" else 1)

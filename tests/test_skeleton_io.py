@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from skelclip import (
     JointLayout,
     ManifestEntry,
     ParseError,
+    SkelclipError,
     SkeletonSequence,
     load_layout,
     parse_canonical,
@@ -40,19 +43,49 @@ def test_builtin_layouts_valid(name, m):
     assert len(set(layout.reference_joints)) == 4
 
 
-def test_layout_from_mapping():
-    layout = load_layout(
-        {"name": "demo", "joint_count": "6", "chain": "5,4,3,2,1,0", "reference_joints": "0,1,2,3"}
-    )
-    assert layout.chain_order == (5, 4, 3, 2, 1, 0)
-
-
 def test_layout_from_file(tmp_path):
     cfg = tmp_path / "layout.cfg"
     cfg.write_text(
         "name = demo\njoint_count = 6\nchain = 0-5\nreference_joints = 1,2,3,4\n"
     )
     assert load_layout(cfg).reference_joints == (1, 2, 3, 4)
+    cfg.write_text("name = demo\njoint_count = 6\nchain = 5,4,3,2,1,0\nreference_joints = 0-3\n")
+    assert load_layout(str(cfg)).chain_order == (5, 4, 3, 2, 1, 0)
+
+
+LAYOUT_CONFIG = "name = demo\njoint_count = 6\nchain = 0-5\nreference_joints = 1,2,3,4\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("", "joints = 6\n"), "unknown key joints"),
+    (("reference_joints = 1,2,3,4\n", ""), "missing key reference_joints"),
+    (("joint_count = 6", "joint_count = six"), "joint_count: invalid literal for int()"),
+    (("chain = 0-5", "chain = 0-5-"), "chain: invalid literal"),
+    (("1,2,3,4", "1,2,3"), "need exactly 4 distinct reference joints"),
+    (("chain = 0-5", "chain = 0-4"), "chain_order must be a permutation"),
+    (("name = demo", "name demo"), "line 1: expected 'key = value'"),
+])
+def test_layout_file_faults_name_the_file(tmp_path, edit, message):
+    old, new = edit
+    cfg = tmp_path / "layout.cfg"
+    cfg.write_text(LAYOUT_CONFIG.replace(old, new, 1) if old else LAYOUT_CONFIG + new)
+    with pytest.raises(ParseError) as info:
+        load_layout(cfg)
+    assert str(info.value).startswith(f"{cfg}: ")
+    assert message in str(info.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.binary(max_size=200))
+def test_layout_file_any_bytes_loads_or_fails_cleanly(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "layout.cfg"
+        cfg.write_bytes(blob)
+        try:
+            layout = load_layout(cfg)
+        except SkelclipError:
+            return
+    assert layout.joint_count == len(layout.chain_order)
 
 
 def test_layout_three_references_rejected():
