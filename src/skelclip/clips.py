@@ -135,6 +135,13 @@ def resize_bilinear(frame: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
     Source coordinate = (dst + 0.5) * (src / dst) - 0.5, clamped to the
     valid range; results round half away from zero.
+
+    Each output pixel is ``((p00*(1-wy))*(1-wx) + (p01*(1-wy))*wx) +
+    (p10*wy)*(1-wx) + (p11*wy)*wx``, summed left to right. The row weights
+    are applied first, on the (out_h, W) grids of the two source rows, and
+    the columns are gathered from those: a multiply commutes with a gather,
+    so every pixel sees the same float operations in the same order as a
+    direct four-corner gather, and the result is bit-identical to it.
     """
     if out_h < 1 or out_w < 1:
         raise ValueError(f"output dims must be >= 1, got {out_h}x{out_w}")
@@ -147,14 +154,17 @@ def resize_bilinear(frame: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
     wy = (ys - y0)[:, None]
-    wx = (xs - x0)[None, :]
-    out = (
-        src[np.ix_(y0, x0)] * (1.0 - wy) * (1.0 - wx)
-        + src[np.ix_(y0, x1)] * (1.0 - wy) * wx
-        + src[np.ix_(y1, x0)] * wy * (1.0 - wx)
-        + src[np.ix_(y1, x1)] * wy * wx
-    )
-    return np.clip(_round_half_up(out), 0, 255).astype(np.uint8)
+    wx = xs - x0
+    top = src[y0] * (1.0 - wy)
+    bot = src[y1] * wy
+    out = top[:, x0] * (1.0 - wx)
+    out += top[:, x1] * wx
+    out += bot[:, x0] * (1.0 - wx)
+    out += bot[:, x1] * wx
+    out += 0.5
+    np.floor(out, out=out)
+    np.clip(out, 0, 255, out=out)
+    return out.astype(np.uint8)
 
 
 def generate_clips(seq: SkeletonSequence, options: ClipOptions = ClipOptions()) -> ClipSet:

@@ -84,8 +84,17 @@ def parse_bool(value: str) -> bool:
     return value.lower() == "true"
 
 
+# Subject, camera and joint ids are few (NTU RGB+D: 40 subjects, 3 cameras;
+# layouts: at most 31 joints), so a longer range is a typo, not a list.
+MAX_RANGE_IDS = 1000
+
+
 def parse_int_list(value: str) -> list[int]:
-    """Comma-separated integers; ``a-b`` expands to the inclusive range."""
+    """Comma-separated integers; ``a-b`` expands to the inclusive range.
+
+    A reversed range or one spanning more than ``MAX_RANGE_IDS`` ids is a
+    ValueError naming the chunk.
+    """
     items: list[int] = []
     for chunk in value.split(","):
         chunk = chunk.strip()
@@ -93,7 +102,12 @@ def parse_int_list(value: str) -> list[int]:
             continue
         lo, sep, hi = chunk.partition("-")
         if sep and lo and hi:
-            items.extend(range(int(lo), int(hi) + 1))
+            first, last = int(lo), int(hi)
+            if last < first:
+                raise ValueError(f"range {chunk!r} is reversed")
+            if last - first + 1 > MAX_RANGE_IDS:
+                raise ValueError(f"range {chunk!r} spans more than {MAX_RANGE_IDS} ids")
+            items.extend(range(first, last + 1))
         else:
             items.append(int(chunk))
     return items

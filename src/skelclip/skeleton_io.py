@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -123,13 +124,19 @@ def parse_ntu_skeleton(text: str, layout: JointLayout) -> list[SkeletonSequence]
     joint-count line, and one whitespace-separated line per joint whose
     first three fields are x y z. Frames where a body is absent are dropped
     from that body's sequence. Extra per-joint fields are ignored.
+
+    Each coordinate is one ``float()`` of its field, appended to a flat
+    float64 buffer per body ID in file order; the buffer is reshaped to
+    (t, m, 3) at the end, so the frames hold exactly the doubles a per-joint
+    array assignment would have stored.
     """
     lines = _Lines(text)
     frame_count = _parse_count(lines, "frame count")
     if frame_count < 1:
         raise ParseError(f"frame count must be >= 1, got {frame_count}", line=lines.lineno)
 
-    bodies: dict[str, list[np.ndarray]] = {}
+    m = layout.joint_count
+    bodies: dict[str, array] = {}
     for _ in range(frame_count):
         body_count = _parse_count(lines, "body count")
         if body_count < 0:
@@ -140,37 +147,37 @@ def parse_ntu_skeleton(text: str, layout: JointLayout) -> list[SkeletonSequence]
                 raise ParseError("empty body metadata line", line=lines.lineno)
             body_id = meta[0]
             joint_count = _parse_count(lines, "joint count")
-            if joint_count != layout.joint_count:
+            if joint_count != m:
                 raise ParseError(
                     f"joint count {joint_count} does not match layout "
-                    f"{layout.name!r} ({layout.joint_count})",
+                    f"{layout.name!r} ({m})",
                     line=lines.lineno,
                 )
-            joints = np.empty((joint_count, 3), dtype=np.float64)
-            for j in range(joint_count):
-                fields = lines.next().split()
+            coords = bodies.setdefault(body_id, array("d"))
+            for _ in range(joint_count):
+                fields = lines.next().split(None, 3)
                 if len(fields) < 3:
                     raise ParseError(
                         f"joint line has {len(fields)} fields, need at least 3",
                         line=lines.lineno,
                     )
                 try:
-                    joints[j] = [float(fields[0]), float(fields[1]), float(fields[2])]
+                    x, y, z = float(fields[0]), float(fields[1]), float(fields[2])
                 except ValueError:
                     raise ParseError(
                         f"non-numeric coordinate in {fields[:3]}", line=lines.lineno
                     ) from None
-                if not np.isfinite(joints[j]).all():
+                if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
                     raise ParseError("non-finite coordinate", line=lines.lineno)
-            bodies.setdefault(body_id, []).append(joints)
+                coords.extend((x, y, z))
     if not lines.exhausted():
         raise ParseError("trailing content after final frame", line=lines.lineno + 1)
     if not bodies:
         raise ParseError("no bodies found in any frame")
 
     return [
-        SkeletonSequence(layout=layout, frames=np.stack(frames))
-        for frames in bodies.values()
+        SkeletonSequence(layout=layout, frames=np.frombuffer(coords).reshape(-1, m, 3))
+        for coords in bodies.values()
     ]
 
 

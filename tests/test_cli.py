@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from skelclip import read_tensor, write_tensor
+import skelclip
+from skelclip import SkeletonSequence, load_layout, read_tensor, write_canonical, write_tensor
 from skelclip.cli import main
 
 
@@ -381,3 +386,157 @@ def test_eval_config_any_bytes_fail_cleanly(blob):
     assert code == 1
     assert err.getvalue().startswith("skelclip: ")
     assert err.getvalue().count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# Bounded ranges and reader fuzz
+
+
+LAYOUT_CONFIG = "name = demo\njoint_count = 6\nchain = 0-5\nreference_joints = 1,2,3,4\n"
+
+
+def run_cli_capped(*argv, limit_mb=1024):
+    """Run the CLI in a child process whose address space is capped, so an
+    input that asks for a huge allocation fails there rather than here."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_mb << 20, limit_mb << 20))
+
+    src = str(Path(skelclip.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "import sys; from skelclip.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", script, *map(str, argv)], env=env,
+                          preexec_fn=cap, capture_output=True, text=True, timeout=120)
+
+
+def test_huge_id_range_fails_cleanly_under_memory_cap(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(EVAL_CONFIG.replace("train_subjects = 0-2", "train_subjects = 0-4000000000"))
+    run = run_cli_capped("eval", "--config", cfg, "--data", tmp_path / "data",
+                         "--out", tmp_path / "run")
+    assert run.returncode == 1
+    assert run.stderr == (f"skelclip: {cfg}: train_subjects: range '0-4000000000' "
+                          "spans more than 1000 ids\n")
+
+    layout = tmp_path / "layout.cfg"
+    layout.write_text(LAYOUT_CONFIG.replace("chain = 0-5", "chain = 0-4000000000"))
+    run = run_cli_capped("gen-clips", "--input", tmp_path / "x.json", "--layout", layout,
+                         "--out", tmp_path / "clips")
+    assert run.returncode == 1
+    assert run.stderr == (f"skelclip: {layout}: chain: range '0-4000000000' "
+                          "spans more than 1000 ids\n")
+
+
+def test_reversed_id_range_rejected(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(EVAL_CONFIG.replace("train_subjects = 0-2", "train_subjects = 0, 5-3"))
+    assert run_cli("eval", "--config", cfg, "--data", tmp_path / "data",
+                   "--out", tmp_path / "run") == 1
+    assert capsys.readouterr().err == f"skelclip: {cfg}: train_subjects: range '5-3' is reversed\n"
+
+
+# bytes an overwrite draws from: the digits, signs and punctuation of the
+# three formats, whitespace, and one byte that is not UTF-8
+_TEXT_BYTES = b"0123456789-+.eEn \t\n{}[],:\"\xff"
+
+
+@st.composite
+def mutated(draw, doc: bytes) -> bytes:
+    """``doc`` truncated, with 1-4 bytes overwritten, or with a line inserted."""
+    kind = draw(st.sampled_from(["truncate", "overwrite", "insert"]))
+    if kind == "truncate":
+        return doc[:draw(st.integers(0, len(doc) - 1))]
+    if kind == "overwrite":
+        at = draw(st.integers(0, len(doc) - 1))
+        patch = bytes(draw(st.lists(st.sampled_from(_TEXT_BYTES), min_size=1, max_size=4)))
+        return doc[:at] + patch + doc[at + len(patch):]
+    lines = doc.split(b"\n")
+    at = draw(st.integers(0, len(lines)))
+    line = draw(st.sampled_from([b"", b"0", b"-1", b"2", b"25", b"1 2", b"0 0 0",
+                                 b"nan 0 0", b"1e309 0 0", b"100 0 0", b"x.json 0 1 -"]))
+    return b"\n".join(lines[:at] + [line] + lines[at:])
+
+
+def assert_ran_or_failed_cleanly(code, err):
+    assert code in (0, 1)
+    if code == 1:
+        assert err.startswith("skelclip: ")
+        assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def _gen_clips(doc: bytes, name: str, layout: str):
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / name
+        src.write_bytes(doc)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run_cli("gen-clips", "--input", src, "--layout", layout, "--size", 8,
+                           "--out", Path(tmp) / "clips")
+    return code, err.getvalue()
+
+
+def _ntu_document() -> bytes:
+    rng = np.random.default_rng(0)
+    lines = ["3"]
+    for f in range(3):
+        ids = ("100", "200") if f != 1 else ("100",)
+        lines.append(str(len(ids)))
+        for body_id in ids:
+            lines += [f"{body_id} 0 1 0 0 0 -0.2 0.1 0 2", "25"]
+            lines += [" ".join(f"{v:.4f}" for v in rng.uniform(-1, 1, 3)) + " 0 0 2"
+                      for _ in range(25)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+NTU_DOCUMENT = _ntu_document()
+
+
+@settings(max_examples=50, deadline=None)
+@given(mutated(NTU_DOCUMENT))
+def test_gen_clips_on_mutated_ntu_text_fails_cleanly(doc):
+    assert_ran_or_failed_cleanly(*_gen_clips(doc, "a.skeleton", "ntu-25"))
+
+
+def _canonical_document() -> bytes:
+    frames = np.random.default_rng(1).uniform(-1, 1, (4, 16, 3)).round(3)
+    seq = SkeletonSequence(load_layout("figure2-16"), frames, label=1, subject_id=2,
+                           camera_id=0)
+    # one frame per line, so that an inserted line lands between frames
+    return write_canonical(seq).replace("], [[", "],\n[[").encode()
+
+
+CANONICAL_DOCUMENT = _canonical_document()
+
+
+@settings(max_examples=50, deadline=None)
+@given(mutated(CANONICAL_DOCUMENT))
+def test_gen_clips_on_mutated_canonical_json_fails_cleanly(doc):
+    assert_ran_or_failed_cleanly(*_gen_clips(doc, "a.json", "figure2-16"))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dataset(tmp_path_factory):
+    data = tmp_path_factory.mktemp("fuzz") / "data"
+    assert run_cli("synth", "--out", data, "--classes", 2, "--per-class", 4,
+                   "--t-min", 4, "--t-max", 6, "--seed", 5) == 0
+    return data
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=st.data())
+def test_eval_on_mutated_manifest_fails_cleanly(fuzz_dataset, doc):
+    manifest = (fuzz_dataset / "manifest.txt").read_bytes()
+    text = doc.draw(mutated(manifest))
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "fuzzed.txt").write_bytes(text)
+        cfg = Path(tmp) / "exp.cfg"
+        cfg.write_text(EVAL_CONFIG.replace("size = 32", "size = 16")
+                       + f"manifest = {Path(tmp) / 'fuzzed.txt'}\n"
+                       "epochs = 1\nbatch = 4\nhidden = 4\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run_cli("eval", "--config", cfg, "--data", fuzz_dataset,
+                           "--out", Path(tmp) / "run")
+    assert_ran_or_failed_cleanly(code, err.getvalue())

@@ -180,6 +180,56 @@ def test_resize_matches_pointwise_oracle(rng):
             assert out[oy, ox] == int(np.floor(val + 0.5))
 
 
+def resize_reference(frame, out_h, out_w):
+    """The four-corner ``np.ix_`` gather formula resize_bilinear replaced."""
+    src = frame.astype(np.float64)
+    h, w = src.shape
+    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
+    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
+    y0 = np.floor(ys).astype(np.intp)
+    x0 = np.floor(xs).astype(np.intp)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (ys - y0)[:, None]
+    wx = (xs - x0)[None, :]
+    out = (
+        src[np.ix_(y0, x0)] * (1.0 - wy) * (1.0 - wx)
+        + src[np.ix_(y0, x1)] * (1.0 - wy) * wx
+        + src[np.ix_(y1, x0)] * wy * (1.0 - wx)
+        + src[np.ix_(y1, x1)] * wy * wx
+    )
+    return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
+
+
+@pytest.mark.parametrize("src_shape, out_shape", [
+    ((1, 1), (224, 224)),
+    ((1, 24), (224, 224)),
+    ((150, 1), (224, 224)),
+    ((1, 9), (5, 3)),
+    ((300, 24), (224, 224)),
+    ((40, 15), (224, 224)),
+    ((224, 224), (250, 250)),
+    ((300, 30), (17, 11)),
+    ((250, 250), (224, 224)),
+    ((7, 300), (3, 250)),
+])
+def test_resize_matches_reference_bytes(src_shape, out_shape):
+    rng = np.random.default_rng(sum(src_shape) * 1000 + sum(out_shape))
+    src = rng.integers(0, 256, size=src_shape, dtype=np.uint8)
+    got = resize_bilinear(src, *out_shape)
+    assert got.dtype == np.uint8
+    assert got.tobytes() == resize_reference(src, *out_shape).tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 260), st.integers(1, 260),
+       st.integers(0, 2**32 - 1))
+def test_resize_matches_reference_on_random_shapes(h, w, out_h, out_w, seed):
+    src = np.random.default_rng(seed).integers(0, 256, size=(h, w), dtype=np.uint8)
+    assert resize_bilinear(src, out_h, out_w).tobytes() == \
+        resize_reference(src, out_h, out_w).tobytes()
+
+
 def test_resize_rejects_bad_dims():
     with pytest.raises(ValueError):
         resize_bilinear(_gray([[1]]), 0, 4)

@@ -217,6 +217,111 @@ def test_ntu_truncated_file():
         parse_ntu_skeleton("2\n1\n100 0\n25\n0 0 0\n", layout)
 
 
+def ntu_reference(text, layout):
+    """The per-joint parser parse_ntu_skeleton replaced: one numpy row
+    assignment and one ``np.isfinite`` check per joint, then ``np.stack``."""
+    lines = text.splitlines()
+    pos = 0
+
+    def next_line():
+        nonlocal pos
+        while not lines[pos].strip():
+            pos += 1
+        pos += 1
+        return lines[pos - 1]
+
+    bodies = {}
+    for _ in range(int(next_line())):
+        for _ in range(int(next_line())):
+            body_id = next_line().split()[0]
+            joints = np.empty((int(next_line()), 3), dtype=np.float64)
+            for j in range(len(joints)):
+                fields = next_line().split()
+                joints[j] = [float(fields[0]), float(fields[1]), float(fields[2])]
+                assert np.isfinite(joints[j]).all()
+            bodies.setdefault(body_id, []).append(joints)
+    return [np.stack(frames) for frames in bodies.values()]
+
+
+def _joint_lines(rng, m, spelled):
+    """m joints of three coordinate strings, each one of ``spelled`` half
+    the time and otherwise a random float's repr."""
+    def coordinate():
+        if rng.random() < 0.5:
+            return spelled[rng.integers(len(spelled))]
+        return repr(float(rng.uniform(-3, 3)))
+    return [[coordinate() for _ in range(3)] for _ in range(m)]
+
+
+def test_ntu_matches_reference_parser():
+    # odd spellings, tabs, blank lines, trailing fields, and body 200 that
+    # leaves in frame 1 and comes back in frame 3
+    layout = load_layout("ntu-25")
+    rng = np.random.default_rng(4)
+    spelled = ["1e-3", "-0.0", "+5", "0", "-1.5E+2", ".25", "7.", "  3"]
+    present = [("100", "200"), ("100",), ("100",), ("200", "100")]
+    lines = [str(len(present)), ""]
+    for ids in present:
+        lines.append(str(len(ids)))
+        for body_id in ids:
+            lines += [f"{body_id} 0 1 0 0 0 -0.2 0.1 0 2", "", "25"]
+            for k, values in enumerate(_joint_lines(rng, 25, spelled)):
+                sep = "\t" if k % 3 == 0 else " "
+                tail = " 0.1 0.2\t-0.3 0 0 0 0 2" if k % 2 else ""
+                lines.append(sep.join(values) + tail)
+                if k % 7 == 0:
+                    lines.append("   ")
+    text = "\n".join(lines) + "\n\n"
+    got = parse_ntu_skeleton(text, layout)
+    expected = ntu_reference(text, layout)
+    assert [s.frames.shape for s in got] == [(4, 25, 3), (2, 25, 3)]
+    assert len(got) == len(expected)
+    for seq, ref in zip(got, expected):
+        assert seq.frames.tobytes() == ref.tobytes()
+    assert any(np.signbit(seq.frames[seq.frames == 0]).any() for seq in got)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_ntu_matches_reference_on_random_documents(seed, t):
+    layout = load_layout("ntu-25")
+    rng = np.random.default_rng(seed)
+    frames = [[rng.uniform(-2, 2, (25, 3)) if rng.random() < 0.8 else None for _ in range(t)]
+              for _ in range(2)]
+    frames[0][0] = rng.uniform(-2, 2, (25, 3))
+    text = ntu_text(frames, body_ids=("100", "200"))
+    got = [seq.frames.tobytes() for seq in parse_ntu_skeleton(text, layout)]
+    assert got == [ref.tobytes() for ref in ntu_reference(text, layout)]
+
+
+def test_ntu_frames_are_writable_contiguous_float64():
+    layout = load_layout("ntu-25")
+    a = [np.full((25, 3), 1.0), None, np.full((25, 3), 3.0)]
+    b = [np.full((25, 3), 2.0)] * 3
+    for seq in parse_ntu_skeleton(ntu_text([a, b], body_ids=("1", "2")), layout):
+        frames = seq.frames
+        assert frames.dtype == np.float64
+        assert frames.flags.c_contiguous and frames.flags.writeable
+        frames[0, 0, 0] = -1.0
+        assert frames[0, 0, 0] == -1.0
+
+
+@pytest.mark.parametrize("joint, message", [
+    ("0\t0", "joint line has 2 fields, need at least 3"),
+    ("0 nan 0", "non-finite coordinate"),
+    ("inf 0 0 1 2 3", "non-finite coordinate"),
+    ("0 0 -Infinity", "non-finite coordinate"),
+])
+def test_ntu_bad_joint_line_names_line(joint, message):
+    layout = load_layout("ntu-25")
+    joints = "\n".join("0 0 0" for _ in range(24))
+    # joint 25 of the only body sits on line 30, after a blank line 5
+    text = f"1\n1\n100 0\n25\n\n{joints}\n{joint}\n"
+    with pytest.raises(ParseError, match="line 30") as info:
+        parse_ntu_skeleton(text, layout)
+    assert message in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # Canonical format
 
