@@ -75,9 +75,11 @@ def _cmd_gen_clips(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     src = Path(args.input)
-    bodies = load_sequences(src, layout)
+    with _stage("load", src):
+        bodies = load_sequences(src, layout)
     for i, seq in enumerate(bodies):
-        cs = generate_clips(seq, options)
+        with _stage("clips", f"{src} body {i}"):
+            cs = generate_clips(seq, options)
         stem = src.stem if len(bodies) == 1 else f"{src.stem}.b{i}"
         write_tensor(out / f"{stem}.clips.sktf", cs.as_array())
         if args.pgm:
@@ -136,9 +138,10 @@ def _read_features(path: Path, stage: str, width: int | None = None) -> np.ndarr
 
 def _cmd_train(args) -> int:
     layout = load_layout(args.layout)
-    manifest = parse_manifest(
-        Path(args.manifest).read_text(encoding="utf-8"), layout, class_count=args.classes
-    )
+    with _stage("manifest", args.manifest):
+        manifest = parse_manifest(
+            Path(args.manifest).read_text(encoding="utf-8"), layout, class_count=args.classes
+        )
     feature_dir = Path(args.features)
     xs, ys = [], []
     for entry in manifest.entries:
@@ -274,9 +277,10 @@ def _cmd_eval(args) -> int:
     data = Path(args.data)
     manifest_path = data / cfg.get("manifest", str, "manifest.txt")
     class_count = cfg.get("classes", int, None)
-    manifest = parse_manifest(
-        manifest_path.read_text(encoding="utf-8"), layout, class_count=class_count
-    )
+    with _stage("manifest", manifest_path):
+        manifest = parse_manifest(
+            manifest_path.read_text(encoding="utf-8"), layout, class_count=class_count
+        )
     report = run_experiment(
         manifest,
         directory_loader(data, manifest),

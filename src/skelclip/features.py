@@ -16,8 +16,10 @@ joins each time-step's three channel vectors into the (4, 3*W*C) sample the
 classifier takes (21504-D per time-step at C = 512).
 
 Externally computed feature maps (e.g. from a real pretrained model) can be
-ingested as one (3, 4, H, W, C) tensor file per sequence through
-``load_feature_map_stack``, which pools to the same (3, 4, W*C) array.
+ingested as one float32 (3, 4, H, W, C) tensor file per sequence through
+``load_feature_map_stack``, which pools to the same float64 (3, 4, W*C)
+array: the stack is rectified as read, in float32, and only the temporal
+mean is taken in float64, so no float64 copy of the maps is made.
 """
 
 from __future__ import annotations
@@ -188,8 +190,10 @@ def _extract_batch(frames: np.ndarray, spec: ExtractorSpec) -> np.ndarray:
 def _pool(maps: np.ndarray) -> np.ndarray:
     """Temporal mean pooling of (..., H, W, C) activations: the mean of the
     rectified values over the row (time) axis, concatenated map-major into
-    (..., W*C): all W columns of map 1, then map 2, ..."""
-    pooled = np.maximum(maps, 0.0).mean(axis=-3)  # (..., W, C)
+    (..., W*C): all W columns of map 1, then map 2, ... The maximum is taken
+    in the input dtype and the mean in float64; widening commutes with the
+    maximum, so float32 maps pool to the same bytes without a float64 copy."""
+    pooled = np.maximum(maps, 0.0).mean(axis=-3, dtype=np.float64)  # (..., W, C)
     return np.swapaxes(pooled, -1, -2).reshape(*pooled.shape[:-2], -1)
 
 
@@ -233,4 +237,4 @@ def load_feature_map_stack(path: str | Path) -> np.ndarray:
         )
     if not np.isfinite(arr).all():
         raise TensorFormatError("feature-map stack contains non-finite values")
-    return _pool(arr.astype(np.float64))
+    return _pool(arr)

@@ -157,13 +157,15 @@ class Gradients:
     b2: np.ndarray
 
 
-def _gradients(params: MtlnParams, flat, pre, hidden, delta: np.ndarray) -> Gradients:
+def _gradients(params: MtlnParams, flat, pre, hidden, delta: np.ndarray,
+               w1_out: np.ndarray | None = None) -> Gradients:
     """Backpropagate per-row logit deltas (softmax minus one-hot) through the
     shared network; rows are the (sample, task) pairs of ``_forward_batch``.
-    The ReLU subgradient at exactly 0 is taken as 0."""
+    The ReLU subgradient at exactly 0 is taken as 0. The (d, h) W1 gradient
+    is written into ``w1_out`` when one is given."""
     g_hidden = (delta @ params.W2.T) * (pre > 0)
     return Gradients(
-        W1=flat.T @ g_hidden,
+        W1=np.matmul(flat.T, g_hidden, out=w1_out),
         b1=g_hidden.sum(axis=0),
         W2=hidden.T @ delta,
         b2=delta.sum(axis=0),
@@ -258,6 +260,8 @@ def train(
     params = init_params(d, cfg.hidden, n_classes, rng)
     onehot = np.eye(n_classes)
 
+    w1_grad = np.empty_like(params.W1)  # the one (d, h) gradient, refilled every step
+
     curve = [dataset_mean_loss(params, x, y)]
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n_samples)
@@ -276,15 +280,12 @@ def train(
 
             probs = softmax(z.reshape(b * k, -1))
             delta = (probs - np.repeat(onehot[yb], k, axis=0)) / b
-            grads = _gradients(params, flat, pre, hidden, delta)
-            # scaled in place and dropped before the next batch: lr * grad, or
-            # grads kept alive into the next _gradients call, would hold a
-            # second (d, h) array and raise peak memory
+            grads = _gradients(params, flat, pre, hidden, delta, w1_out=w1_grad)
+            # scaled in place: lr * grad would allocate a second (d, h) array
             for param, grad in ((params.W2, grads.W2), (params.b2, grads.b2),
                                 (params.W1, grads.W1), (params.b1, grads.b1)):
                 grad *= cfg.learning_rate
                 param -= grad
-            del grads
         curve.append(epoch_loss / n_samples)
     return params, curve
 

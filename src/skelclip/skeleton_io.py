@@ -102,6 +102,8 @@ class _Lines:
             self.lineno += 1
             if line.strip():
                 return line
+        if not any(line.strip() for line in self._lines):
+            raise ParseError("empty file")
         raise ParseError("unexpected end of file", line=self.lineno)
 
     def exhausted(self) -> bool:

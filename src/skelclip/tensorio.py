@@ -59,16 +59,23 @@ def read_tensor(src: str | Path | BinaryIO) -> np.ndarray:
         return arr
 
 
-def _read_exact(fh: BinaryIO, n: int) -> bytes:
-    want = n
-    if fh.seekable():  # measured first, so a corrupt size allocates no more than the file holds
-        here = fh.tell()
-        want = min(n, fh.seek(0, io.SEEK_END) - here)
-        fh.seek(here)
-    data = fh.read(want)
-    if len(data) != n:
-        raise TensorFormatError(f"truncated file: wanted {n} bytes, got {len(data)}")
-    return data
+def _fill(fh: BinaryIO, buf) -> None:
+    """Read exactly ``len(buf)`` bytes into the flat, writable byte buffer ``buf``."""
+    view = memoryview(buf)
+    got = 0
+    while got < len(view):
+        n = fh.readinto(view[got:])
+        if not n:
+            break
+        got += n
+    if got != len(view):
+        raise TensorFormatError(f"truncated file: wanted {len(view)} bytes, got {got}")
+
+
+def _read_exact(fh: BinaryIO, n: int) -> bytearray:
+    buf = bytearray(n)
+    _fill(fh, buf)
+    return buf
 
 
 def _read_stream(fh: BinaryIO) -> np.ndarray:
@@ -81,11 +88,13 @@ def _read_stream(fh: BinaryIO) -> np.ndarray:
         raise TensorFormatError(f"unknown dtype code {code}")
     dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank))
     dtype = _DTYPE_CODES[code]
-    count = math.prod(dims)
-    payload = _read_exact(fh, count * dtype.itemsize)
-    arr = np.frombuffer(payload, dtype=dtype).reshape(dims)
-    if code == 0:
-        arr = arr.astype(np.float32)
-    else:
-        arr = arr.copy()
-    return arr
+    nbytes = math.prod(dims) * dtype.itemsize
+    if fh.seekable():  # measured first, so a corrupt size allocates nothing
+        here = fh.tell()
+        left = fh.seek(0, io.SEEK_END) - here
+        fh.seek(here)
+        if left < nbytes:
+            raise TensorFormatError(f"truncated file: wanted {nbytes} bytes, got {left}")
+    arr = np.empty(dims, dtype)
+    _fill(fh, arr.reshape(-1).view(np.uint8))
+    return arr.astype(np.float32, copy=False) if code == 0 else arr

@@ -467,6 +467,7 @@ def assert_ran_or_failed_cleanly(code, err):
 
 
 def _gen_clips(doc: bytes, name: str, layout: str):
+    """Run gen-clips on ``doc``; a failure must name the input file and stage."""
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / name
         src.write_bytes(doc)
@@ -474,7 +475,10 @@ def _gen_clips(doc: bytes, name: str, layout: str):
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = run_cli("gen-clips", "--input", src, "--layout", layout, "--size", 8,
                            "--out", Path(tmp) / "clips")
-    return code, err.getvalue()
+    err = err.getvalue()
+    if code == 1:
+        assert err.startswith((f"skelclip: [load] {src}: ", f"skelclip: [clips] {src} body "))
+    return code, err
 
 
 def _ntu_document() -> bytes:
@@ -540,3 +544,43 @@ def test_eval_on_mutated_manifest_fails_cleanly(fuzz_dataset, doc):
             code = run_cli("eval", "--config", cfg, "--data", fuzz_dataset,
                            "--out", Path(tmp) / "run")
     assert_ran_or_failed_cleanly(code, err.getvalue())
+    if code == 1:
+        assert re.match(r"skelclip: \[\w+\] ", err.getvalue())  # a stage, never a bare line
+
+
+@pytest.mark.parametrize("doc, message", [
+    (b"", "empty file"),
+    (b" \n\t\n", "empty file"),
+    (b"\n".join(NTU_DOCUMENT.split(b"\n")[:4]), "line 4: unexpected end of file"),
+])
+def test_gen_clips_load_failure_names_the_file(doc, message):
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "a.skeleton"
+        src.write_bytes(doc)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli("gen-clips", "--input", src, "--layout", "ntu-25",
+                           "--out", Path(tmp) / "clips")
+    assert code == 1
+    assert err.getvalue() == f"skelclip: [load] {src}: {message}\n"
+
+
+def test_eval_manifest_fault_names_the_manifest(fuzz_dataset, tmp_path, capsys):
+    lines = (fuzz_dataset / "manifest.txt").read_text().splitlines()
+    lines[3] = "broken"
+    manifest = tmp_path / "bad.txt"
+    manifest.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(EVAL_CONFIG + f"manifest = {manifest}\n")
+    assert run_cli("eval", "--config", cfg, "--data", fuzz_dataset, "--out", tmp_path / "r") == 1
+    assert capsys.readouterr().err == (
+        f"skelclip: [manifest] {manifest}: line 4: expected 4 fields, got 1\n")
+
+
+def test_train_manifest_fault_names_the_manifest(tmp_path, capsys):
+    manifest = tmp_path / "bad.txt"
+    manifest.write_text("a.json 0 1\n")
+    assert run_cli("train", "--features", tmp_path, "--manifest", manifest,
+                   "--out", tmp_path / "m.sktf") == 1
+    assert capsys.readouterr().err == (
+        f"skelclip: [manifest] {manifest}: line 1: expected 4 fields, got 3\n")

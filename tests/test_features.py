@@ -1,5 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from skelclip import (
@@ -15,7 +21,7 @@ from skelclip import (
     temporal_mean_pool,
     write_tensor,
 )
-from skelclip.features import _extract_batch, extractor_weights, seeded_normals
+from skelclip.features import _extract_batch, _pool, extractor_weights, seeded_normals
 
 from conftest import random_sequence
 
@@ -367,3 +373,40 @@ def test_feature_map_stack_bad_shape(tmp_path, rng):
     write_tensor(path, np.zeros((3, 4, 0, 5, 2), dtype=np.float32))
     with pytest.raises(TensorFormatError, match=r"\(3, 4"):
         load_feature_map_stack(path)
+
+
+def stack_pool_reference(stack):
+    """The former ingest: the float32 stack widened to float64, then pooled."""
+    return _pool(stack.astype(np.float64))
+
+
+def _ingest(stack):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.fmaps.sktf"
+        write_tensor(path, stack)
+        return load_feature_map_stack(path)
+
+
+# zeros of both signs, subnormals of both signs and the float32 extremes
+_EDGE_VALUES = [0.0, -0.0, 1e-45, -1e-45, 1.1e-38, -1.1e-38, 3.4e38, -3.4e38]
+
+
+@settings(max_examples=30, deadline=None)
+@given(hnp.arrays(
+    np.float32,
+    st.tuples(st.just(3), st.just(4), st.integers(1, 9), st.integers(1, 4), st.integers(1, 5)),
+    elements=st.one_of(st.sampled_from(_EDGE_VALUES),
+                       st.floats(width=32, allow_nan=False, allow_infinity=False)),
+))
+def test_stack_ingest_is_byte_equal_to_float64_pooling(stack):
+    got, want = _ingest(stack), stack_pool_reference(stack)
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+def test_paper_size_stack_ingest_is_byte_equal_to_float64_pooling(rng):
+    stack = rng.standard_normal((3, 4, 14, 14, 512)).astype(np.float32)
+    stack[:, :, ::3] = 0.0
+    stack[:, :, 1::5] *= -0.0
+    stack[..., ::7] *= np.float32(1e-40)  # subnormal
+    assert _ingest(stack).tobytes() == stack_pool_reference(stack).tobytes()

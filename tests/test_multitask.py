@@ -1,4 +1,5 @@
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,8 @@ from skelclip import (
     total_loss,
     train,
 )
-from skelclip.multitask import init_params
+from skelclip.experiments import train_mode
+from skelclip.multitask import init_params, softmax
 
 
 def make_params(d, h, n, rng, scale=0.5):
@@ -303,6 +305,43 @@ def test_train_separable_toy_converges(rng):
     assert all(curve[i + 1] < curve[i] for i in range(5))
     preds = [predict(params, feats)[0] for feats in x]
     assert np.mean(np.array(preds) == y) == 1.0
+
+
+def train_reference(x, cfg, n_classes, labels):
+    """The SGD loop ``train`` ran before it reused one W1 gradient buffer:
+    every step builds a fresh (d, h) gradient, then p <- p - lr * g."""
+    rng = np.random.default_rng(cfg.seed)
+    params = init_params(x.shape[2], cfg.hidden, n_classes, rng)
+    onehot = np.eye(n_classes)
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(len(x))
+        for start in range(0, len(x), cfg.batch_size):
+            idx = perm[start:start + cfg.batch_size]
+            xb, yb = x[idx], labels[idx]
+            b, k = xb.shape[:2]
+            flat = xb.reshape(b * k, -1)
+            pre = flat @ params.W1 + params.b1
+            hidden = np.maximum(pre, 0.0)
+            z = hidden @ params.W2 + params.b2
+            delta = (softmax(z) - np.repeat(onehot[yb], k, axis=0)) / b
+            g_hidden = (delta @ params.W2.T) * (pre > 0)
+            for param, grad in ((params.W2, hidden.T @ delta), (params.b2, delta.sum(axis=0)),
+                                (params.W1, flat.T @ g_hidden), (params.b1, g_hidden.sum(axis=0))):
+                grad *= cfg.learning_rate
+                param -= grad
+    return params
+
+
+@pytest.mark.parametrize("mode", ["mtln", "frame", "concat", "maxpool"])
+def test_train_is_byte_equal_to_fresh_gradient_sgd(rng, mode):
+    x = rng.standard_normal((23, 4, 37))
+    y = rng.integers(0, 3, size=23)
+    cfg = TrainConfig(learning_rate=0.05, batch_size=6, epochs=3, seed=4, hidden=11, mode=mode)
+    nets, _ = train_mode(mode, x, y, cfg, 3)
+    for i, (net, inputs) in enumerate(zip(nets, mode_inputs(mode, x), strict=True)):
+        want = train_reference(inputs, replace(cfg, seed=cfg.seed + i), 3, y)
+        for name in ("W1", "b1", "W2", "b2"):
+            assert getattr(net, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_train_rejects_empty():

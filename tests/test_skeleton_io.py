@@ -217,6 +217,14 @@ def test_ntu_truncated_file():
         parse_ntu_skeleton("2\n1\n100 0\n25\n0 0 0\n", layout)
 
 
+@pytest.mark.parametrize("text", ["", "  \n\t\n\n"])
+def test_ntu_empty_file_says_so_without_a_line_number(text):
+    with pytest.raises(ParseError) as info:
+        parse_ntu_skeleton(text, load_layout("ntu-25"))
+    assert str(info.value) == "empty file"
+    assert info.value.line is None
+
+
 def ntu_reference(text, layout):
     """The per-joint parser parse_ntu_skeleton replaced: one numpy row
     assignment and one ``np.isfinite`` check per joint, then ``np.stack``."""
