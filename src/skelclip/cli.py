@@ -179,8 +179,9 @@ def _cmd_train(args) -> int:
             "feat_scale": np.array([scaler.scale]),
         },
     )
+    losses = " ".join(f"{curve[-1]:.4f}" for curve in curves)  # one per net, in net order
     print(f"trained {len(models)} net(s) on {len(x)} samples; "
-          f"final epoch mean loss {curves[0][-1]:.4f}; saved to {args.out}")
+          f"final epoch mean loss {losses}; saved to {args.out}")
     return 0
 
 

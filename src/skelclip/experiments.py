@@ -350,6 +350,7 @@ def run_experiment(
                 acc, confusions = evaluate_mode(
                     mode, models, test_groups, manifest.class_count
                 )
+            del models  # the next mode trains without this one's nets
             res = results[mode]
             res.fold_accuracies.append(acc)
             res.loss_curves.extend(curves)

@@ -25,6 +25,11 @@ TASK_COUNT = 4
 
 DEFAULT_HIDDEN = 512
 
+# ``train`` updates W1 one row block of at most this many bytes at a time,
+# so no (d, h) gradient is built. Blocks of 1 MiB or less measured slower
+# at h = 512: each block's gemm was too small to gain from a second thread.
+W1_BLOCK_BYTES = 4 << 20
+
 
 @dataclass
 class MtlnParams:
@@ -157,15 +162,18 @@ class Gradients:
     b2: np.ndarray
 
 
-def _gradients(params: MtlnParams, flat, pre, hidden, delta: np.ndarray,
-               w1_out: np.ndarray | None = None) -> Gradients:
-    """Backpropagate per-row logit deltas (softmax minus one-hot) through the
-    shared network; rows are the (sample, task) pairs of ``_forward_batch``.
-    The ReLU subgradient at exactly 0 is taken as 0. The (d, h) W1 gradient
-    is written into ``w1_out`` when one is given."""
-    g_hidden = (delta @ params.W2.T) * (pre > 0)
+def _hidden_grad(params: MtlnParams, pre: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Backpropagate per-row logit deltas (softmax minus one-hot) to the
+    hidden pre-activations; rows are the (sample, task) pairs of
+    ``_forward_batch``. The ReLU subgradient at exactly 0 is taken as 0."""
+    return (delta @ params.W2.T) * (pre > 0)
+
+
+def _gradients(params: MtlnParams, flat, pre, hidden, delta: np.ndarray) -> Gradients:
+    """Full gradients of the shared network for per-row logit deltas."""
+    g_hidden = _hidden_grad(params, pre, delta)
     return Gradients(
-        W1=np.matmul(flat.T, g_hidden, out=w1_out),
+        W1=flat.T @ g_hidden,
         b1=g_hidden.sum(axis=0),
         W2=hidden.T @ delta,
         b2=delta.sum(axis=0),
@@ -241,10 +249,13 @@ def train(
 
     ``samples`` is an (N, K, d) array and ``labels`` its N class indices.
     Data is reshuffled every epoch with the seeded generator; updates are
-    plain p <- p - lr * g. Returns the final parameters and a loss curve
-    whose first entry is the dataset mean loss at initialization followed
-    by one mean training loss per epoch. Raises TrainingDivergedError if
-    the loss stops being finite.
+    plain p <- p - lr * g, all from gradients at the pre-step parameters.
+    W1's gradient is never built whole: each block of W1 rows gets its
+    slice of it in one reused buffer of at most ``W1_BLOCK_BYTES``, which
+    is scaled and subtracted before the next block. Returns the final
+    parameters and a loss curve whose first entry is the dataset mean loss
+    at initialization followed by one mean training loss per epoch. Raises
+    TrainingDivergedError if the loss stops being finite.
     """
     x = np.asarray(samples, dtype=np.float64)
     y = np.asarray(labels, dtype=np.intp)
@@ -260,7 +271,8 @@ def train(
     params = init_params(d, cfg.hidden, n_classes, rng)
     onehot = np.eye(n_classes)
 
-    w1_grad = np.empty_like(params.W1)  # the one (d, h) gradient, refilled every step
+    rows = max(1, W1_BLOCK_BYTES // params.W1[0].nbytes)
+    w1_block = np.empty((min(rows, d), cfg.hidden))
 
     curve = [dataset_mean_loss(params, x, y)]
     for epoch in range(cfg.epochs):
@@ -280,12 +292,16 @@ def train(
 
             probs = softmax(z.reshape(b * k, -1))
             delta = (probs - np.repeat(onehot[yb], k, axis=0)) / b
-            grads = _gradients(params, flat, pre, hidden, delta, w1_out=w1_grad)
-            # scaled in place: lr * grad would allocate a second (d, h) array
-            for param, grad in ((params.W2, grads.W2), (params.b2, grads.b2),
-                                (params.W1, grads.W1), (params.b1, grads.b1)):
+            g_hidden = _hidden_grad(params, pre, delta)  # before W2 moves
+            for param, grad in ((params.W2, hidden.T @ delta), (params.b2, delta.sum(axis=0)),
+                                (params.b1, g_hidden.sum(axis=0))):
                 grad *= cfg.learning_rate
                 param -= grad
+            for r in range(0, d, rows):
+                block = w1_block[:min(rows, d - r)]
+                np.matmul(flat[:, r:r + rows].T, g_hidden, out=block)
+                block *= cfg.learning_rate
+                params.W1[r:r + rows] -= block
         curve.append(epoch_loss / n_samples)
     return params, curve
 

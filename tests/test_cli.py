@@ -145,6 +145,33 @@ def test_predict_matches_in_memory_models(mode, synth_dir, feature_dir, tmp_path
     assert len(printed) == len(stems)
 
 
+@pytest.mark.parametrize("mode", ["mtln", "frame"])
+def test_train_prints_each_nets_final_loss(mode, synth_dir, feature_dir, tmp_path, capsys):
+    from skelclip import FeatureScaler, TrainConfig, load_layout, parse_manifest
+    from skelclip.experiments import train_mode
+
+    model = tmp_path / "model.sktf"
+    assert run_cli(
+        "train", "--features", feature_dir, "--manifest", synth_dir / "manifest.txt",
+        "--mode", mode, "--epochs", 3, "--lr", 0.05, "--batch", 8,
+        "--hidden", 8, "--seed", 5, "--out", model,
+    ) == 0
+    out = capsys.readouterr().out
+
+    manifest = parse_manifest((synth_dir / "manifest.txt").read_text(),
+                              load_layout("figure2-16"))
+    stems = [e.path[: -len(".json")] for e in manifest.entries]
+    x = np.stack([read_tensor(feature_dir / f"{s}.feat.sktf") for s in stems]).astype(float)
+    cfg = TrainConfig(learning_rate=0.05, batch_size=8, epochs=3, seed=5, mode=mode, hidden=8)
+    y = np.array([e.label for e in manifest.entries])
+    models, curves = train_mode(mode, FeatureScaler.fit(x).apply(x), y, cfg,
+                                manifest.class_count)
+    losses = " ".join(f"{curve[-1]:.4f}" for curve in curves)
+    assert len(curves) == (4 if mode == "frame" else 1)
+    assert out == (f"trained {len(models)} net(s) on {len(x)} samples; "
+                   f"final epoch mean loss {losses}; saved to {model}\n")
+
+
 def test_train_frame_mode_checkpoint(synth_dir, feature_dir, tmp_path):
     model = tmp_path / "model.sktf"
     assert run_cli(

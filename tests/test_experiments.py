@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,26 @@ def test_run_experiment_all_modes(tiny_dataset, tiny_protocol):
         # accuracy equals mean over nets of confusion trace / test size
         accs = [np.trace(c) / c.sum() for c in m.confusions]
         assert m.accuracy == pytest.approx(float(np.mean(accs)))
+
+
+def test_run_experiment_frees_a_modes_nets_before_the_next_mode_trains(
+        tiny_dataset, tiny_protocol, monkeypatch):
+    from skelclip.experiments import train_mode
+
+    manifest, loader = tiny_dataset
+    refs = {}
+
+    def watching_train_mode(mode, x, y, cfg, n_classes):
+        if mode == "frame":
+            refs["alive_when_frame_trains"] = refs["mtln_W1"]() is not None
+        models, curves = train_mode(mode, x, y, cfg, n_classes)
+        refs.setdefault("mtln_W1", weakref.ref(models[0].W1))
+        return models, curves
+
+    monkeypatch.setattr(experiments, "train_mode", watching_train_mode)
+    run_experiment(manifest, loader, tiny_protocol, tiny_pipeline(epochs=2),
+                   modes=("mtln", "frame"))
+    assert refs["alive_when_frame_trains"] is False
 
 
 def test_run_experiment_deterministic(tiny_dataset, tiny_protocol):

@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from skelclip import (
     train,
 )
 from skelclip.experiments import train_mode
-from skelclip.multitask import init_params, softmax
+from skelclip.multitask import W1_BLOCK_BYTES, init_params, softmax
 
 
 def make_params(d, h, n, rng, scale=0.5):
@@ -308,8 +309,8 @@ def test_train_separable_toy_converges(rng):
 
 
 def train_reference(x, cfg, n_classes, labels):
-    """The SGD loop ``train`` ran before it reused one W1 gradient buffer:
-    every step builds a fresh (d, h) gradient, then p <- p - lr * g."""
+    """The SGD loop ``train`` ran before it updated W1 in row blocks:
+    every step builds a fresh full (d, h) gradient, then p <- p - lr * g."""
     rng = np.random.default_rng(cfg.seed)
     params = init_params(x.shape[2], cfg.hidden, n_classes, rng)
     onehot = np.eye(n_classes)
@@ -332,16 +333,49 @@ def train_reference(x, cfg, n_classes, labels):
     return params
 
 
+def assert_train_matches_reference(x, y, cfg):
+    nets, _ = train_mode(cfg.mode, x, y, cfg, 3)
+    for i, (net, inputs) in enumerate(zip(nets, mode_inputs(cfg.mode, x), strict=True)):
+        want = train_reference(inputs, replace(cfg, seed=cfg.seed + i), 3, y)
+        for name in ("W1", "b1", "W2", "b2"):
+            assert getattr(net, name).tobytes() == getattr(want, name).tobytes()
+
+
 @pytest.mark.parametrize("mode", ["mtln", "frame", "concat", "maxpool"])
 def test_train_is_byte_equal_to_fresh_gradient_sgd(rng, mode):
     x = rng.standard_normal((23, 4, 37))
     y = rng.integers(0, 3, size=23)
     cfg = TrainConfig(learning_rate=0.05, batch_size=6, epochs=3, seed=4, hidden=11, mode=mode)
-    nets, _ = train_mode(mode, x, y, cfg, 3)
-    for i, (net, inputs) in enumerate(zip(nets, mode_inputs(mode, x), strict=True)):
-        want = train_reference(inputs, replace(cfg, seed=cfg.seed + i), 3, y)
-        for name in ("W1", "b1", "W2", "b2"):
-            assert getattr(net, name).tobytes() == getattr(want, name).tobytes()
+    assert_train_matches_reference(x, y, cfg)
+
+
+@pytest.mark.parametrize("mode", ["mtln", "frame", "concat", "maxpool"])
+def test_train_is_byte_equal_across_w1_row_blocks(rng, mode):
+    # three full row blocks and a ragged fourth per net (concat: twelve and
+    # a ragged one), so every block boundary of the streamed update is hit
+    h = 64
+    d = 3 * (W1_BLOCK_BYTES // (8 * h)) + 77
+    x = rng.standard_normal((9, 4, d))
+    y = rng.integers(0, 3, size=9)
+    cfg = TrainConfig(learning_rate=0.05, batch_size=4, epochs=2, seed=6, hidden=h, mode=mode)
+    assert_train_matches_reference(x, y, cfg)
+
+
+def test_train_holds_no_full_size_w1_gradient(rng):
+    # W1 is 8.7 MB; a (d, h) gradient beside it would double the peak
+    d, h, batch = 17000, 64, 3
+    x = rng.standard_normal((6, 1, d))
+    y = np.arange(6) % 2
+    cfg = TrainConfig(batch_size=batch, epochs=2, seed=0, hidden=h)
+    tracemalloc.start()
+    try:
+        params, _ = train(x, cfg, 2, labels=y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert params.W1.nbytes >= 8_000_000
+    batch_arrays = 4 * batch * d * 8  # the mini-batch copy and its neighbours
+    assert peak < params.W1.nbytes + W1_BLOCK_BYTES + batch_arrays
 
 
 def test_train_rejects_empty():
