@@ -29,7 +29,6 @@ from .experiments import (
     SplitProtocol,
     directory_loader,
     make_splits,
-    parse_results,
     render_results,
     render_table,
     run_experiment,
@@ -46,6 +45,7 @@ from .features import (
 )
 from .layouts import BUILTIN_LAYOUTS, JointLayout, load_layout
 from .multitask import (
+    ModeModel,
     MtlnParams,
     TaskScores,
     TrainConfig,
@@ -53,7 +53,6 @@ from .multitask import (
     forward,
     load_checkpoint,
     mode_inputs,
-    predict,
     predict_multi_sample,
     predict_proba,
     save_checkpoint,

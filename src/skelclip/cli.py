@@ -17,7 +17,6 @@ from .clips import ClipOptions, ClipSet, generate_clips, write_pgm
 from .config import ConfigFile, parse_bool, parse_int_list
 from .errors import SkelclipError, StageError
 from .experiments import (
-    FeatureScaler,
     PipelineConfig,
     SplitProtocol,
     _stage,
@@ -37,10 +36,10 @@ from .layouts import load_layout
 from .multitask import (
     MODES,
     TASK_COUNT,
+    FeatureScaler,
+    ModeModel,
     TrainConfig,
     load_checkpoint,
-    mode_inputs,
-    predict_proba,
     save_checkpoint,
 )
 from .skeleton_io import load_sequences, parse_manifest, write_canonical, write_manifest
@@ -152,14 +151,8 @@ def _cmd_train(args) -> int:
             xs.append(_read_features(path, "train", xs[0].shape[1] if xs else None))
             ys.append(entry.label)
     x = np.stack(xs)
-    y = np.array(ys, dtype=np.intp)
-
-    if args.no_standardize:
-        scaler = FeatureScaler.identity(x.shape[1], x.shape[2])
-    else:
-        scaler = FeatureScaler.fit(x)
+    scaler = FeatureScaler.fit(x, not args.no_standardize)
     x = scaler.apply(x)
-
     cfg = TrainConfig(
         learning_rate=args.lr,
         batch_size=args.batch,
@@ -168,47 +161,24 @@ def _cmd_train(args) -> int:
         mode=args.mode,
         hidden=args.hidden,
     )
-    models, curves = train_mode(args.mode, x, y, cfg, manifest.class_count)
-    save_checkpoint(
-        args.out,
-        models,
-        mode=args.mode,
-        seed=args.seed,
-        extra_tensors={
-            "feat_mean": scaler.mean,
-            "feat_scale": np.array([scaler.scale]),
-        },
-    )
+    nets, curves = train_mode(args.mode, x, np.array(ys, dtype=np.intp), cfg, manifest.class_count)
+    save_checkpoint(args.out, ModeModel(args.mode, nets, scaler), seed=args.seed)
     losses = " ".join(f"{curve[-1]:.4f}" for curve in curves)  # one per net, in net order
-    print(f"trained {len(models)} net(s) on {len(x)} samples; "
+    print(f"trained {len(nets)} net(s) on {len(x)} samples; "
           f"final epoch mean loss {losses}; saved to {args.out}")
     return 0
 
 
 def _cmd_predict(args) -> int:
-    models, meta, extra = load_checkpoint(args.model)
-    mode = meta["mode"]
-    width = models[0].input_dim // (TASK_COUNT if mode == "concat" else 1)
-    scaler = None
-    if "feat_mean" in extra:
-        mean, scale = extra["feat_mean"], extra.get("feat_scale", np.empty(0))
-        if mean.shape != (TASK_COUNT, width) or scale.shape != (1,):
-            raise StageError("predict", f"{args.model}: feat_mean and feat_scale do not "
-                                        f"fit the nets' d = {width}")
-        scaler = FeatureScaler(mean=mean, scale=float(scale[0]))
-
+    model, _ = load_checkpoint(args.model)
     feature_dir = Path(args.features)
     files = sorted(feature_dir.glob("*.feat.sktf"))
     if not files:
         raise StageError("predict", f"no feature files in {feature_dir}")
     for path in files:
-        feats = _read_features(path, "predict", width)
-        if scaler is not None:
-            feats = scaler.apply(feats)
-        nets = zip(models, mode_inputs(mode, feats[None]), strict=True)
-        probs = np.mean([predict_proba(m, x)[0] for m, x in nets], axis=0)
+        feats = _read_features(path, "predict", model.scaler.mean.shape[1])
         name = path.name[: -len(".feat.sktf")]
-        print(f"{name} {int(np.argmax(probs))}")
+        print(f"{name} {int(np.argmax(model.proba(feats[None])[0]))}")
     return 0
 
 

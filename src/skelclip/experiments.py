@@ -21,9 +21,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .clips import CROP_SIZE, ClipOptions, augment_crops, generate_clips
-from .errors import ParseError, StageError
+from .errors import StageError
 from .features import ExtractorSpec, build_time_step_features, stack_time_step_features
-from .multitask import MODES, MtlnParams, TrainConfig, mode_inputs, predict_proba, train
+from .multitask import (
+    MODES, FeatureScaler, MtlnParams, TrainConfig, mode_inputs, mode_probas, train,
+)
 from .skeleton_io import DatasetManifest, SkeletonSequence, load_sequences
 
 # ---------------------------------------------------------------------------
@@ -111,27 +113,6 @@ class PipelineConfig:
     def __post_init__(self):
         if self.augment_count < 0:
             raise ValueError("augment_count must be >= 0")
-
-
-@dataclass(frozen=True)
-class FeatureScaler:
-    """Train-set standardization: per-slot mean, one global scale."""
-
-    mean: np.ndarray  # (K, d)
-    scale: float
-
-    @classmethod
-    def fit(cls, x: np.ndarray) -> "FeatureScaler":
-        mean = x.mean(axis=0)
-        spread = float(x.std())
-        return cls(mean=mean, scale=spread if spread > 0 else 1.0)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.mean) / self.scale
-
-    @classmethod
-    def identity(cls, k: int, d: int) -> "FeatureScaler":
-        return cls(mean=np.zeros((k, d)), scale=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +262,7 @@ def evaluate_mode(
     x = np.stack([f for _, samples in test_groups for f in samples])
     bounds = np.cumsum(sizes)[:-1]
     confusions = []
-    for params, inputs in zip(models, mode_inputs(mode, x), strict=True):
-        probs = predict_proba(params, inputs)
+    for probs in mode_probas(mode, models, x):
         preds = [int(np.argmax(p.mean(axis=0))) for p in np.split(probs, bounds)]
         confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
         np.add.at(confusion, (labels, preds), 1)
@@ -330,11 +310,7 @@ def run_experiment(
             [len(samples) for samples in train_samples],
         )
 
-        scaler = (
-            FeatureScaler.fit(train_x)
-            if config.standardize
-            else FeatureScaler.identity(train_x.shape[1], train_x.shape[2])
-        )
+        scaler = FeatureScaler.fit(train_x, config.standardize)
         train_x = scaler.apply(train_x)
         test_groups = [
             (e.label, [scaler.apply(f) for part in features[e.path][:test_parts] for f in part])
@@ -397,39 +373,3 @@ def render_results(report: EvalReport) -> str:
         for i, curve in enumerate(m.loss_curves):
             pairs.append((f"{m.mode}.curve{i}", ",".join(repr(float(v)) for v in curve)))
     return "".join(f"{k} = {v}\n" for k, v in pairs)
-
-
-def parse_results(text: str) -> EvalReport:
-    """Inverse of render_results."""
-    from .config import parse_kv
-
-    kv = parse_kv(text)
-    try:
-        class_count = int(kv["classes"])
-        modes = []
-        for name in kv["modes"].split(","):
-            folds = int(kv[f"{name}.folds"])
-            fold_acc = [float(kv[f"{name}.fold{i}.accuracy"]) for i in range(folds)]
-            nets = int(kv[f"{name}.nets"])
-            confusions = []
-            for i in range(nets):
-                rows = kv[f"{name}.net{i}.confusion"].split(";")
-                confusions.append(
-                    np.array([[int(v) for v in row.split(",")] for row in rows], dtype=np.int64)
-                )
-            curves = []
-            i = 0
-            while f"{name}.curve{i}" in kv:
-                curves.append([float(v) for v in kv[f"{name}.curve{i}"].split(",")])
-                i += 1
-            modes.append(
-                ModeResult(
-                    mode=name,
-                    fold_accuracies=fold_acc,
-                    confusions=confusions,
-                    loss_curves=curves,
-                )
-            )
-    except KeyError as exc:
-        raise ParseError(f"results file missing key {exc}") from None
-    return EvalReport(class_count=class_count, modes=modes)

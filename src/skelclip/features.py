@@ -18,8 +18,8 @@ classifier takes (21504-D per time-step at C = 512).
 Externally computed feature maps (e.g. from a real pretrained model) can be
 ingested as one float32 (3, 4, H, W, C) tensor file per sequence through
 ``load_feature_map_stack``, which pools to the same float64 (3, 4, W*C)
-array: the stack is rectified as read, in float32, and only the temporal
-mean is taken in float64, so no float64 copy of the maps is made.
+array: the stack is rectified in place as read, in float32, and only the
+temporal mean is taken in float64, so no copy of the maps is made.
 """
 
 from __future__ import annotations
@@ -190,17 +190,18 @@ def _extract_batch(frames: np.ndarray, spec: ExtractorSpec) -> np.ndarray:
 def _pool(maps: np.ndarray) -> np.ndarray:
     """Temporal mean pooling of (..., H, W, C) activations: the mean of the
     rectified values over the row (time) axis, concatenated map-major into
-    (..., W*C): all W columns of map 1, then map 2, ... The maximum is taken
-    in the input dtype and the mean in float64; widening commutes with the
-    maximum, so float32 maps pool to the same bytes without a float64 copy."""
-    pooled = np.maximum(maps, 0.0).mean(axis=-3, dtype=np.float64)  # (..., W, C)
+    (..., W*C): all W columns of map 1, then map 2, ... ``maps`` is rectified
+    in place, in its own dtype, and only the mean is taken in float64;
+    widening commutes with the maximum, so float32 maps pool to the same
+    bytes with no copy of the maps."""
+    pooled = np.maximum(maps, 0.0, out=maps).mean(axis=-3, dtype=np.float64)  # (..., W, C)
     return np.swapaxes(pooled, -1, -2).reshape(*pooled.shape[:-2], -1)
 
 
 def temporal_mean_pool(fm: FeatureMaps) -> PooledFeature:
     """Pool one frame's H x W x C maps into a W*C vector (see ``_pool``)."""
     _, w, c = fm.maps.shape
-    return PooledFeature(values=_pool(fm.maps), dims=(w, c))
+    return PooledFeature(values=_pool(fm.maps.copy()), dims=(w, c))
 
 
 def build_time_step_features(cs: ClipSet, spec: ExtractorSpec = ExtractorSpec()) -> np.ndarray:

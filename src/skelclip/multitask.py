@@ -11,6 +11,7 @@ elementwise maximum ("maxpool").
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -94,6 +95,26 @@ class TrainConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
+
+
+@dataclass(frozen=True)
+class FeatureScaler:
+    """Train-set standardization: per-slot mean, one global scale."""
+
+    mean: np.ndarray  # (K, d)
+    scale: float
+
+    @classmethod
+    def fit(cls, x: np.ndarray, standardize: bool = True) -> "FeatureScaler":
+        """Fit to (N, K, d) training features; with ``standardize`` off, the
+        zero-mean, unit-scale scaler, which leaves features unchanged."""
+        if not standardize:
+            return cls(mean=np.zeros(x.shape[1:]), scale=1.0)
+        spread = float(x.std())
+        return cls(mean=x.mean(axis=0), scale=spread if spread > 0 else 1.0)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return (x - self.mean) / self.scale
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -317,12 +338,6 @@ def predict_proba(params: MtlnParams, x: np.ndarray) -> np.ndarray:
     return softmax(z).mean(axis=1)
 
 
-def predict(params: MtlnParams, features: np.ndarray) -> tuple[int, np.ndarray]:
-    """Average the tasks' softmax probabilities; ties break to the lowest index."""
-    probs = predict_proba(params, np.asarray(features)[None])[0]
-    return int(np.argmax(probs)), probs
-
-
 def predict_multi_sample(
     params: MtlnParams, sample_features: Sequence[np.ndarray]
 ) -> tuple[int, np.ndarray]:
@@ -334,6 +349,46 @@ def predict_multi_sample(
     return int(np.argmax(probs)), probs
 
 
+def mode_probas(mode: str, nets: Sequence[MtlnParams], x: np.ndarray) -> list[np.ndarray]:
+    """Each net's (N, n_classes) probabilities of (N, 4, d) features."""
+    return [predict_proba(net, inputs)
+            for net, inputs in zip(nets, mode_inputs(mode, x), strict=True)]
+
+
+@dataclass(frozen=True)
+class ModeModel:
+    """A trained mode: its nets in order (four for frame, one otherwise) and
+    the scaler its training features were standardized with."""
+
+    mode: str
+    nets: list[MtlnParams]
+    scaler: FeatureScaler
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}")
+        want = TASK_COUNT if self.mode == "frame" else 1
+        if len(self.nets) != want:
+            raise ValueError(f"mode {self.mode} needs {want} net(s), found {len(self.nets)}")
+        if len({(net.W1.shape, net.W2.shape) for net in self.nets}) > 1:
+            raise ValueError("nets differ in shape")
+        width = self.nets[0].input_dim
+        if self.mode == "concat":
+            if width % TASK_COUNT:
+                raise ValueError(f"a concat net's input width {width} is not 4 * d")
+            width //= TASK_COUNT
+        if np.shape(self.scaler.mean) != (TASK_COUNT, width):
+            raise ValueError(f"feat_mean and feat_scale do not fit the nets' d = {width}")
+        scale = self.scaler.scale
+        if not (np.isfinite(self.scaler.mean).all() and np.isfinite(scale) and scale > 0):
+            raise ValueError("feat_mean must be finite and feat_scale finite and > 0")
+
+    def proba(self, x: np.ndarray) -> np.ndarray:
+        """Class probabilities (N, n_classes) of unscaled (N, 4, d) features:
+        the nets' task-averaged probabilities, averaged over the nets."""
+        return np.mean(mode_probas(self.mode, self.nets, self.scaler.apply(x)), axis=0)
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints: plain-text header, then named tensors as concatenated SKTF
 # blobs in header order.
@@ -341,36 +396,30 @@ def predict_multi_sample(
 
 _CHECKPOINT_MAGIC = "skelclip-model 1"
 _NET_TENSORS = ("W1", "b1", "W2", "b2")
+_TENSOR_NAME = re.compile(rf"(?:(?:{'|'.join(MODES)})\d+\.)?(?:{'|'.join(_NET_TENSORS)})"
+                          r"|feat_mean|feat_scale")
 
 
-def save_checkpoint(
-    path: str | Path,
-    nets: Sequence[MtlnParams],
-    mode: str,
-    seed: int,
-    extra_tensors: dict[str, np.ndarray] | None = None,
-) -> None:
-    """Write a mode's nets in order, plus metadata and extra tensors.
+def save_checkpoint(path: str | Path, model: ModeModel, seed: int) -> None:
+    """Write a mode's nets in order, then its scaler, plus metadata.
 
     One net is stored as tensors W1 b1 W2 b2; several nets (the per-frame
-    baseline) as ``<mode><i>.W1`` and so on.
+    baseline) as ``<mode><i>.W1`` and so on. The scaler follows as
+    ``feat_mean`` (4, d) and ``feat_scale`` (1,).
     """
-    if not nets:
-        raise ValueError("need at least one net to save")
     names: list[str] = []
     tensors: list[np.ndarray] = []
-    for i, params in enumerate(nets):
-        prefix = f"{mode}{i}." if len(nets) > 1 else ""
+    for i, params in enumerate(model.nets):
+        prefix = f"{model.mode}{i}." if len(model.nets) > 1 else ""
         for tname in _NET_TENSORS:
             names.append(prefix + tname)
             tensors.append(getattr(params, tname))
-    for tname, arr in (extra_tensors or {}).items():
-        names.append(tname)
-        tensors.append(np.asarray(arr))
-    first = nets[0]
+    names += ["feat_mean", "feat_scale"]
+    tensors += [np.asarray(model.scaler.mean), np.array([model.scaler.scale])]
+    first = model.nets[0]
     header = (
         f"{_CHECKPOINT_MAGIC}\n"
-        f"mode {mode}\n"
+        f"mode {model.mode}\n"
         f"d {first.input_dim}\n"
         f"h {first.hidden_dim}\n"
         f"n_classes {first.class_count}\n"
@@ -384,14 +433,12 @@ def save_checkpoint(
             write_tensor(fh, arr.astype(np.float32))
 
 
-def load_checkpoint(
-    path: str | Path,
-) -> tuple[list[MtlnParams], dict[str, str], dict[str, np.ndarray]]:
-    """Returns (nets in header order, meta dict, extra tensors dict).
+def load_checkpoint(path: str | Path) -> tuple[ModeModel, dict[str, str]]:
+    """Returns (the stored ModeModel, meta dict).
 
-    A malformed header or tensor, a net without all of W1 b1 W2 b2, a mode
-    outside MODES, a net count that does not fit the mode (four for frame,
-    one otherwise) or weights that are inconsistent or do not fit the mode
+    A malformed header or tensor, a net without all of W1 b1 W2 b2, a
+    tensor name that is repeated or not one ``save_checkpoint`` writes, and
+    any model ``ModeModel`` rejects (a missing or misfit scaler included)
     raise a ParseError naming the file.
     """
     try:
@@ -415,28 +462,21 @@ def load_checkpoint(
             tensors = {name: read_tensor(fh).astype(np.float64) for name in names}
 
         groups: dict[str, dict[str, np.ndarray]] = {}
-        extra: dict[str, np.ndarray] = {}
         for name, arr in tensors.items():
             prefix, _, leaf = name.rpartition(".")
             if leaf in _NET_TENSORS:
                 groups.setdefault(prefix, {})[leaf] = arr
-            else:
-                extra[name] = arr
-        mode = meta.get("mode")
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
-        want = TASK_COUNT if mode == "frame" else 1
-        if len(groups) != want:
-            raise ValueError(f"mode {mode} needs {want} net(s), found {len(groups)}")
         for prefix, parts in groups.items():
             missing = [f"{prefix}.{t}" if prefix else t for t in _NET_TENSORS if t not in parts]
             if missing:
                 raise ValueError(f"missing tensor {' '.join(missing)}")
-        nets = [MtlnParams(**parts) for parts in groups.values()]
-        if len({(net.W1.shape, net.W2.shape) for net in nets}) > 1:
-            raise ValueError("nets differ in shape")
-        if mode == "concat" and nets[0].input_dim % TASK_COUNT:
-            raise ValueError(f"a concat net's input width {nets[0].input_dim} is not 4 * d")
+        if len(tensors) != len(names) or not all(map(_TENSOR_NAME.fullmatch, names)):
+            raise ValueError(f"unexpected tensor names {' '.join(names)}")
+        # an absent scaler tensor becomes a misfit one, which ModeModel names
+        mean, scale = (tensors.get(t, np.empty(0)) for t in ("feat_mean", "feat_scale"))
+        scaler = FeatureScaler(mean=mean, scale=float(scale[0]) if scale.shape == (1,) else np.nan)
+        model = ModeModel(meta.get("mode"), [MtlnParams(**parts) for parts in groups.values()],
+                          scaler)
     except ValueError as exc:  # ParseError and TensorFormatError included
         raise ParseError(f"{path}: {exc}") from None
-    return nets, meta, extra
+    return model, meta

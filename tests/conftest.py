@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skelclip import JointLayout, SkeletonSequence, load_layout
+from skelclip import JointLayout, SkeletonSequence, load_layout, write_tensor
 
 
 @pytest.fixture
@@ -33,3 +33,12 @@ def random_sequence(layout, t, rng, label=None):
 @pytest.fixture
 def make_sequence():
     return random_sequence
+
+
+def write_raw_checkpoint(path, mode, tensors):
+    """Store ``tensors`` (name -> array) under a checkpoint header without
+    building a ModeModel, so a file can hold what ModeModel rejects."""
+    with open(path, "wb") as fh:
+        fh.write(f"skelclip-model 1\nmode {mode}\ntensors {' '.join(tensors)}\nend\n".encode())
+        for arr in tensors.values():
+            write_tensor(fh, np.asarray(arr, dtype=np.float32))

@@ -19,6 +19,8 @@ import skelclip
 from skelclip import SkeletonSequence, load_layout, read_tensor, write_canonical, write_tensor
 from skelclip.cli import main
 
+from conftest import write_raw_checkpoint
+
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
@@ -110,11 +112,13 @@ def test_train_and_predict(synth_dir, feature_dir, tmp_path, capsys):
         assert cls in ("0", "1")
 
 
-@pytest.mark.parametrize("mode", ["mtln", "frame"])
+@pytest.mark.parametrize("mode", ["mtln", "frame", "concat", "maxpool"])
 def test_predict_matches_in_memory_models(mode, synth_dir, feature_dir, tmp_path, capsys):
-    # the checkpoint stores f32 weights, so classes, not probabilities, must match
-    from skelclip import FeatureScaler, TrainConfig, load_layout, parse_manifest, predict
-    from skelclip.experiments import train_mode
+    # the checkpoint stores f32 weights, so classes, not probabilities, must
+    # match; outside frame the expected class is run_experiment's scoring of
+    # a one-recording test group
+    from skelclip import FeatureScaler, TrainConfig, load_layout, parse_manifest, predict_proba
+    from skelclip.experiments import evaluate_mode, train_mode
 
     model = tmp_path / "model.sktf"
     assert run_cli(
@@ -137,11 +141,13 @@ def test_predict_matches_in_memory_models(mode, synth_dir, feature_dir, tmp_path
     models, _ = train_mode(mode, scaler.apply(x), y, cfg, manifest.class_count)
     for stem, feats in zip(stems, scaler.apply(x)):
         if mode == "frame":
-            probs = np.mean([predict(m, feats[k:k + 1])[1] for k, m in enumerate(models)],
-                            axis=0)
+            probs = np.mean([predict_proba(m, feats[None, k:k + 1])[0]
+                             for k, m in enumerate(models)], axis=0)
+            want = int(np.argmax(probs))
         else:
-            probs = predict(models[0], feats)[1]
-        assert printed[stem] == str(int(np.argmax(probs)))
+            _, [confusion] = evaluate_mode(mode, models, [(0, [feats])], manifest.class_count)
+            want = int(np.argmax(confusion[0]))
+        assert printed[stem] == str(want)
     assert len(printed) == len(stems)
 
 
@@ -180,10 +186,10 @@ def test_train_frame_mode_checkpoint(synth_dir, feature_dir, tmp_path):
     ) == 0
     from skelclip import load_checkpoint
 
-    models, meta, extra = load_checkpoint(model)
-    assert len(models) == 4
+    loaded, meta = load_checkpoint(model)
+    assert len(loaded.nets) == 4
     assert meta["mode"] == "frame"
-    assert "feat_mean" in extra
+    assert loaded.scaler.mean.shape == (4, 24) and loaded.scaler.mean.any()
 
 
 def test_eval_end_to_end(synth_dir, tmp_path, capsys):
@@ -207,10 +213,9 @@ def test_eval_end_to_end(synth_dir, tmp_path, capsys):
     table = (out / "report.txt").read_text()
     assert "mtln" in table and "maxpool" in table and "%" in table
     results = (out / "results.txt").read_text()
-    from skelclip import parse_results
+    from skelclip.config import parse_kv
 
-    report = parse_results(results)
-    assert report.class_count == 2
+    assert parse_kv(results)["classes"] == "2"
     printed = capsys.readouterr().out
     assert "accuracy" in printed
 
@@ -339,18 +344,29 @@ def test_predict_rejects_feature_file_of_another_width(synth_dir, feature_dir, t
 
 
 def test_predict_rejects_scaler_of_another_width(tmp_path, rng, capsys):
-    from skelclip import MtlnParams, save_checkpoint
-
-    net = MtlnParams(W1=rng.standard_normal((5, 3)), b1=np.zeros(3),
-                     W2=rng.standard_normal((3, 2)), b2=np.zeros(2))
     model = tmp_path / "model.sktf"
-    save_checkpoint(model, [net], mode="mtln", seed=0,
-                    extra_tensors={"feat_mean": np.zeros((4, 6)), "feat_scale": np.ones(1)})
+    write_raw_checkpoint(model, "mtln", {
+        "W1": rng.standard_normal((5, 3)), "b1": np.zeros(3),
+        "W2": rng.standard_normal((3, 2)), "b2": np.zeros(2),
+        "feat_mean": np.zeros((4, 6)), "feat_scale": np.ones(1),
+    })
     feats = tmp_path / "feats"
     feats.mkdir()
     write_tensor(feats / "a.feat.sktf", np.zeros((4, 5), dtype=np.float32))
     assert run_cli("predict", "--model", model, "--features", feats) == 1
     assert "feat_mean and feat_scale do not fit the nets' d = 5" in capsys.readouterr().err
+
+
+def test_predict_rejects_checkpoint_with_zero_scale(synth_dir, feature_dir, tmp_path, capsys):
+    # feat_scale is the checkpoint's last tensor: overwrite its one float32
+    model = tmp_path / "model.sktf"
+    assert run_cli(*train_args(feature_dir, synth_dir, model)) == 0
+    model.write_bytes(model.read_bytes()[:-4] + np.float32(0.0).tobytes())
+    capsys.readouterr()
+    assert run_cli("predict", "--model", model, "--features", feature_dir) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"skelclip: {model}: feat_mean must be finite and feat_scale finite and > 0\n"
 
 
 def test_predict_rejects_malformed_checkpoint(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +237,7 @@ def test_pool_constant_maps():
     assert np.allclose(temporal_mean_pool(fm).values, 2.5)
     fm_neg = FeatureMaps(maps=np.full((14, 14, 3), -1.0))
     assert np.all(temporal_mean_pool(fm_neg).values == 0.0)
+    assert np.all(fm_neg.maps == -1.0)  # pooling leaves the caller's maps as they were
 
 
 def test_pool_matches_double_loop_oracle(rng):
@@ -410,3 +412,18 @@ def test_paper_size_stack_ingest_is_byte_equal_to_float64_pooling(rng):
     stack[:, :, 1::5] *= -0.0
     stack[..., ::7] *= np.float32(1e-40)  # subnormal
     assert _ingest(stack).tobytes() == stack_pool_reference(stack).tobytes()
+
+
+def test_stack_ingest_holds_one_copy_of_the_stack(tmp_path, rng):
+    # the stack read from disk is rectified in place, so the peak is that one
+    # array and the float64 pooled rows (1/7 of it each at H = 14), not two stacks
+    stack = rng.standard_normal((3, 4, 14, 14, 64)).astype(np.float32)
+    path = tmp_path / "s.fmaps.sktf"
+    write_tensor(path, stack)
+    tracemalloc.start()
+    try:
+        load_feature_map_stack(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * stack.nbytes

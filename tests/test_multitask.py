@@ -16,9 +16,10 @@ from skelclip import (
     TrainingDivergedError,
     backward,
     forward,
+    FeatureScaler,
+    ModeModel,
     load_checkpoint,
     mode_inputs,
-    predict,
     predict_multi_sample,
     predict_proba,
     save_checkpoint,
@@ -28,6 +29,8 @@ from skelclip import (
 )
 from skelclip.experiments import train_mode
 from skelclip.multitask import W1_BLOCK_BYTES, init_params, softmax
+
+from conftest import write_raw_checkpoint
 
 
 def make_params(d, h, n, rng, scale=0.5):
@@ -304,8 +307,8 @@ def test_train_separable_toy_converges(rng):
     params, curve = train(x, cfg, 2, labels=y)
     # loss decreases monotonically over the first 5 epochs from init
     assert all(curve[i + 1] < curve[i] for i in range(5))
-    preds = [predict(params, feats)[0] for feats in x]
-    assert np.mean(np.array(preds) == y) == 1.0
+    preds = np.argmax(predict_proba(params, x), axis=1)
+    assert np.mean(preds == y) == 1.0
 
 
 def train_reference(x, cfg, n_classes, labels):
@@ -411,7 +414,8 @@ def test_train_config_validation():
 def test_predict_identical_tasks_matches_single_argmax(rng):
     params = make_params(6, 4, 3, rng)
     feat = rng.standard_normal(6)
-    cls, probs = predict(params, np.tile(feat, (4, 1)))
+    probs = predict_proba(params, np.tile(feat, (1, 4, 1)))[0]
+    cls = int(np.argmax(probs))
     single = forward(params, feat[None]).probabilities[0]
     assert cls == int(np.argmax(single))
     assert np.abs(probs - single).max() <= 1e-12
@@ -440,16 +444,16 @@ def test_predict_shift_invariant_argmax(rng):
     # bit-identical through the max-shifted softmax
     params = make_params(6, 4, 3, rng)
     feats = rng.standard_normal((4, 6))
-    cls, probs = predict(params, feats)
+    probs = predict_proba(params, feats[None])[0]
     shifted = MtlnParams(W1=params.W1, b1=params.b1, W2=params.W2, b2=params.b2 + 7.5)
-    cls2, probs2 = predict(shifted, feats)
-    assert cls == cls2
+    probs2 = predict_proba(shifted, feats[None])[0]
+    assert np.argmax(probs) == np.argmax(probs2)
     assert np.abs(probs - probs2).max() <= 1e-12
 
 
 def test_predict_uniform_tie_breaks_low_index():
     params = MtlnParams(W1=np.zeros((5, 4)), b1=np.zeros(4), W2=np.zeros((4, 3)), b2=np.zeros(3))
-    cls, probs = predict(params, np.ones((4, 5)))
+    cls, probs = predict_multi_sample(params, [np.ones((4, 5))])
     assert cls == 0
     assert np.allclose(probs, 1.0 / 3.0)
 
@@ -458,15 +462,15 @@ def test_predict_multi_sample_single_equals_predict(rng):
     params = make_params(6, 4, 3, rng)
     feats = rng.standard_normal((4, 6))
     cls_multi, probs_multi = predict_multi_sample(params, [feats])
-    cls_single, probs_single = predict(params, feats)
-    assert cls_multi == cls_single
+    probs_single = predict_proba(params, feats[None])[0]
+    assert cls_multi == int(np.argmax(probs_single))
     assert np.array_equal(probs_multi, probs_single)
 
 
 def test_predict_multi_sample_identical_scores(rng):
     params = make_params(6, 4, 3, rng)
     feats = rng.standard_normal((4, 6))
-    cls_one, _ = predict(params, feats)
+    cls_one = int(np.argmax(predict_proba(params, feats[None])[0]))
     cls_two, _ = predict_multi_sample(params, [feats, feats])
     assert cls_one == cls_two
 
@@ -526,31 +530,35 @@ def test_init_params_bounds(rng):
 
 def test_checkpoint_round_trip(tmp_path, rng):
     params = make_params(6, 4, 3, rng)
+    scaler = FeatureScaler(mean=rng.standard_normal((4, 6)), scale=2.5)
     path = tmp_path / "model.sktf"
-    save_checkpoint(path, [params], mode="mtln", seed=7,
-                    extra_tensors={"feat_mean": rng.standard_normal((4, 6))})
-    models, meta, extra = load_checkpoint(path)
-    assert meta["mode"] == "mtln"
+    save_checkpoint(path, ModeModel("mtln", [params], scaler), seed=7)
+    model, meta = load_checkpoint(path)
+    assert meta["mode"] == model.mode == "mtln"
     assert meta["d"] == "6"
     assert meta["h"] == "4"
     assert meta["n_classes"] == "3"
     assert meta["seed"] == "7"
-    [back] = models
+    [back] = model.nets
     for name in ("W1", "b1", "W2", "b2"):
         assert np.array_equal(
             getattr(back, name), getattr(params, name).astype(np.float32).astype(np.float64)
         )
-    assert extra["feat_mean"].shape == (4, 6)
+    assert model.scaler.mean.shape == (4, 6)
+    assert np.array_equal(model.scaler.mean, scaler.mean.astype(np.float32))
+    assert model.scaler.scale == 2.5
 
 
 def test_checkpoint_multi_model(tmp_path, rng):
     models = [make_params(5, 3, 2, rng) for _ in range(4)]
     path = tmp_path / "model.sktf"
-    save_checkpoint(path, models, mode="frame", seed=0)
+    scaler = FeatureScaler.fit(np.ones((2, 4, 5)), standardize=False)
+    save_checkpoint(path, ModeModel("frame", models, scaler), seed=0)
     assert b"tensors frame0.W1 frame0.b1 frame0.W2 frame0.b2 frame1.W1" in path.read_bytes()
-    back, meta, _ = load_checkpoint(path)
-    assert len(back) == 4
-    for got, want in zip(back, models):  # header order is the nets' order
+    assert b" frame3.b2 feat_mean feat_scale\nend\n" in path.read_bytes()
+    model, meta = load_checkpoint(path)
+    assert len(model.nets) == 4
+    for got, want in zip(model.nets, models):  # header order is the nets' order
         assert np.array_equal(got.W1, want.W1.astype(np.float32))
     assert meta["mode"] == "frame"
 
@@ -564,10 +572,13 @@ def test_checkpoint_bad_magic(tmp_path):
 
 def write_checkpoint(path, mode="mtln", nets=1, seed=5):
     rng = np.random.default_rng(seed)
-    save_checkpoint(path, [make_params(5, 3, 2, rng) for _ in range(nets)], mode=mode, seed=0,
-                    extra_tensors={"feat_mean": rng.standard_normal((4, 5)),
-                                   "feat_scale": np.array([2.0])})
+    nets = [make_params(5, 3, 2, rng) for _ in range(nets)]
+    save_checkpoint(path, ModeModel(mode, nets, FeatureScaler(rng.standard_normal((4, 5)), 2.0)),
+                    seed=0)
     return path.read_bytes()
+
+
+NET_TENSORS = ("W1", "b1", "W2", "b2")
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -575,10 +586,32 @@ def write_checkpoint(path, mode="mtln", nets=1, seed=5):
     ((b"mode mtln", b"mode frame"), "mode frame needs 4 net"),
     ((b"mode mtln", b"mode bogus"), "unknown mode 'bogus'"),
     ((b"\nmode mtln", b""), "unknown mode None"),
+    ((b"feat_mean feat_scale", b"feat_mean feat_scalf"), "unexpected tensor names"),
+    ((b"W2 b2 feat_mean", b"W2 b2 W2"), "unexpected tensor names"),
+    ((b"tensors W1 b1 W2 b2", b"tensors x0.W1 x0.b1 x0.W2 x0.b2"), "unexpected tensor names"),
 ])
 def test_checkpoint_header_faults_name_the_file(tmp_path, edit, message):
     path = tmp_path / "model.sktf"
     path.write_bytes(write_checkpoint(path).replace(*edit, 1))
+    with pytest.raises(ParseError, match=message) as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("scaler, message", [
+    ({"feat_mean": np.zeros((4, 5)), "feat_scale": [0.0]}, "feat_scale finite and > 0"),
+    ({"feat_mean": np.zeros((4, 5)), "feat_scale": [-2.0]}, "feat_scale finite and > 0"),
+    ({"feat_mean": np.zeros((4, 5)), "feat_scale": [np.inf]}, "feat_scale finite and > 0"),
+    ({"feat_mean": np.zeros((4, 5)), "feat_scale": [1.0, 1.0]}, "feat_scale finite and > 0"),
+    ({"feat_mean": np.zeros((4, 5))}, "feat_scale finite and > 0"),
+    ({"feat_mean": np.full((4, 5), np.nan), "feat_scale": [1.0]}, "feat_mean must be finite"),
+    ({"feat_mean": np.zeros((4, 6)), "feat_scale": [1.0]}, "do not fit the nets' d = 5"),
+    ({"feat_scale": [1.0]}, "do not fit the nets' d = 5"),
+])
+def test_checkpoint_scaler_faults_name_the_file(tmp_path, rng, scaler, message):
+    path = tmp_path / "model.sktf"
+    net = make_params(5, 3, 2, rng)
+    write_raw_checkpoint(path, "mtln", {t: getattr(net, t) for t in NET_TENSORS} | scaler)
     with pytest.raises(ParseError, match=message) as info:
         load_checkpoint(path)
     assert str(info.value).startswith(f"{path}: ")
@@ -594,17 +627,20 @@ def test_checkpoint_frame_net_lacking_a_tensor(tmp_path):
 
 def test_checkpoint_inconsistent_weights_rejected(tmp_path, rng):
     path = tmp_path / "model.sktf"
-    good = make_params(5, 3, 2, rng)
-    save_checkpoint(path, [good], mode="mtln", seed=0)
+    path.write_bytes(write_checkpoint(path))
     # swap the two bias tensors' names: b1 now has 2 entries for 3 hidden units
     path.write_bytes(path.read_bytes().replace(b"W1 b1 W2 b2", b"W1 b2 W2 b1", 1))
     with pytest.raises(ParseError, match="inconsistent parameter shapes"):
         load_checkpoint(path)
+    scaler = {"feat_mean": np.zeros((4, 5)), "feat_scale": [1.0]}
     nets = [make_params(5, 3, 2, rng) for _ in range(3)] + [make_params(5, 4, 2, rng)]
-    save_checkpoint(path, nets, mode="frame", seed=0)
+    write_raw_checkpoint(path, "frame", {f"frame{i}.{t}": getattr(net, t)
+                                         for i, net in enumerate(nets) for t in NET_TENSORS}
+                         | scaler)
     with pytest.raises(ParseError, match="differ in shape"):
         load_checkpoint(path)
-    save_checkpoint(path, [make_params(10, 3, 2, rng)], mode="concat", seed=0)
+    net = make_params(10, 3, 2, rng)
+    write_raw_checkpoint(path, "concat", {t: getattr(net, t) for t in NET_TENSORS} | scaler)
     with pytest.raises(ParseError, match="input width 10 is not 4 \\* d"):
         load_checkpoint(path)
 
@@ -624,7 +660,18 @@ def test_corrupt_checkpoint_loads_or_fails_cleanly(mode, data):
                 st.integers(0, 255), label="byte")
         path.write_bytes(bytes(blob))
         try:
-            nets, meta, _ = load_checkpoint(path)
+            model, meta = load_checkpoint(path)
         except SkelclipError:
             return
-    assert len(nets) == (4 if meta["mode"] == "frame" else 1)
+    assert len(model.nets) == (4 if meta["mode"] == "frame" else 1)
+
+
+@pytest.mark.parametrize("mode", ["mtln", "frame", "concat", "maxpool"])
+def test_mode_model_proba_averages_its_nets_on_scaled_features(mode, rng):
+    x = rng.standard_normal((6, 4, 5)) * 3 + 1
+    scaler = FeatureScaler.fit(x)
+    cfg = TrainConfig(epochs=2, batch_size=4, hidden=4)
+    nets, _ = train_mode(mode, scaler.apply(x), np.arange(6) % 3, cfg, 3)
+    want = np.mean([predict_proba(net, inputs)
+                    for net, inputs in zip(nets, mode_inputs(mode, scaler.apply(x)))], axis=0)
+    assert np.array_equal(ModeModel(mode, nets, scaler).proba(x), want)
