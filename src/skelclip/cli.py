@@ -15,7 +15,7 @@ import numpy as np
 
 from .clips import ClipOptions, ClipSet, generate_clips, write_pgm
 from .config import ConfigFile, parse_bool, parse_int_list
-from .errors import SkelclipError, StageError
+from .errors import SkelclipError, StageError, check_array
 from .experiments import (
     PipelineConfig,
     SplitProtocol,
@@ -124,14 +124,8 @@ def _read_features(path: Path, stage: str, width: int | None = None) -> np.ndarr
     """One finite float32 (4, d) feature file as float64, with d = ``width``
     when one is given; a bad file fails as a StageError naming it."""
     with _stage(stage, path):
-        arr = read_tensor(path)
-        if arr.dtype != np.float32 or arr.ndim != 2 or arr.shape[0] != TASK_COUNT or not arr.size:
-            raise ValueError(f"expected a float32 (4, d) feature tensor, "
-                             f"got {arr.dtype} {arr.shape}")
-        if width is not None and arr.shape[1] != width:
-            raise ValueError(f"expected d = {width}, got {arr.shape[1]}")
-        if not np.isfinite(arr).all():
-            raise ValueError("feature tensor contains non-finite values")
+        arr = check_array(read_tensor(path), (TASK_COUNT, width or "d"), "feature tensor",
+                          dtype=np.float32, finite=True)
     return arr.astype(np.float64)
 
 
@@ -142,8 +136,11 @@ def _cmd_train(args) -> int:
             Path(args.manifest).read_text(encoding="utf-8"), layout, class_count=args.classes
         )
     feature_dir = Path(args.features)
-    xs, ys = [], []
+    xs, ys, stems = [], [], {}
     for entry in manifest.entries:
+        other = stems.setdefault(Path(entry.path).stem, entry.path)
+        if other != entry.path:
+            raise StageError("train", f"manifest entries {other} and {entry.path} share a stem")
         files = _feature_files_for(feature_dir, entry.path)
         if not files:
             raise StageError("train", f"no feature file for manifest entry {entry.path}")
@@ -151,6 +148,7 @@ def _cmd_train(args) -> int:
             xs.append(_read_features(path, "train", xs[0].shape[1] if xs else None))
             ys.append(entry.label)
     x = np.stack(xs)
+    del xs  # once stacked, the per-file arrays would only double the memory held
     scaler = FeatureScaler.fit(x, not args.no_standardize)
     x = scaler.apply(x)
     cfg = TrainConfig(

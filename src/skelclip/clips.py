@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import check_array
 from .skeleton_io import SkeletonSequence
 
 CYLINDRICAL_CHANNELS = ("radius", "azimuth", "height")
@@ -41,11 +42,7 @@ class ClipSet:
     channels: tuple[str, str, str] = CYLINDRICAL_CHANNELS
 
     def __post_init__(self):
-        px = np.asarray(self.pixels)
-        if px.ndim != 4 or px.shape[:2] != (3, 4) or 0 in px.shape:
-            raise ValueError(f"a ClipSet holds a (3, 4, H, W) array, got shape {px.shape}")
-        if px.dtype != np.uint8:
-            raise ValueError(f"clip pixels must be uint8, got {px.dtype}")
+        px = check_array(self.pixels, (3, 4, "H", "W"), "clip set", dtype=np.uint8)
         object.__setattr__(self, "pixels", px)
 
     @property
@@ -120,9 +117,8 @@ def scale_to_gray(
     ``bounds`` fixes the (min, max) of the linear map; by default the
     array's own range is used. A degenerate range yields an all-zero image.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(values).all():
-        raise ValueError("cannot scale non-finite values")
+    values = check_array(np.asarray(values, dtype=np.float64), ("rows", "cols"), "value array",
+                         finite=True)
     vmin, vmax = bounds if bounds is not None else (values.min(), values.max())
     if vmax == vmin:
         return np.zeros(values.shape, dtype=np.uint8)
@@ -215,9 +211,7 @@ def augment_crops(cs: ClipSet, n: int, seed: int | np.random.SeedSequence) -> li
 
 def write_pgm(frame: np.ndarray, path: str | Path) -> None:
     """Binary PGM (P5, maxval 255) export of one (H, W) uint8 frame."""
-    if frame.dtype != np.uint8:
-        raise ValueError(f"PGM frames must be uint8, got {frame.dtype}")
-    h, w = frame.shape
+    h, w = check_array(frame, ("H", "W"), "PGM frame", dtype=np.uint8).shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(frame.tobytes())

@@ -32,7 +32,7 @@ from typing import ClassVar
 import numpy as np
 
 from .clips import ClipSet
-from .errors import TensorFormatError
+from .errors import TensorFormatError, check_array
 from .tensorio import read_tensor
 
 DEFAULT_STAGE_WIDTHS = (8, 16, 32)  # leading stages; the final stage has `channels` maps
@@ -45,11 +45,8 @@ class FeatureMaps:
     maps: np.ndarray
 
     def __post_init__(self):
-        maps = np.asarray(self.maps, dtype=np.float64)
-        if maps.ndim != 3 or min(maps.shape) < 1:
-            raise ValueError(f"maps must be (H, W, C) with all dims >= 1, got {maps.shape}")
-        if not np.isfinite(maps).all():
-            raise ValueError("feature maps contain non-finite values")
+        maps = check_array(np.asarray(self.maps, dtype=np.float64), ("H", "W", "C"),
+                           "feature map array", finite=True)
         object.__setattr__(self, "maps", maps)
 
 
@@ -61,10 +58,8 @@ class PooledFeature:
     dims: tuple[int, int]  # (W, C)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
         w, c = self.dims
-        if values.shape != (w * c,):
-            raise ValueError(f"expected length {w * c}, got shape {values.shape}")
+        values = check_array(np.asarray(self.values, dtype=np.float64), (w * c,), "pooled feature")
         object.__setattr__(self, "values", values)
 
 
@@ -219,8 +214,7 @@ def build_time_step_features(cs: ClipSet, spec: ExtractorSpec = ExtractorSpec())
 def stack_time_step_features(pooled: np.ndarray) -> np.ndarray:
     """(3, 4, n) pooled frames -> (4, 3n) classifier input: one row per
     time-step (reference joint), its three channel blocks in clip order."""
-    if pooled.ndim != 3 or pooled.shape[:2] != (3, 4):
-        raise ValueError(f"pooled features must be (3, 4, n), got {pooled.shape}")
+    check_array(pooled, (3, 4, "n"), "pooled feature array")
     return pooled.transpose(1, 0, 2).reshape(4, -1)
 
 
@@ -231,11 +225,5 @@ def stack_time_step_features(pooled: np.ndarray) -> np.ndarray:
 def load_feature_map_stack(path: str | Path) -> np.ndarray:
     """Ingest a precomputed (3, 4, H, W, C) feature-map stack for one sequence
     and pool it into the (3, 4, W*C) array ``build_time_step_features`` returns."""
-    arr = read_tensor(path)
-    if arr.ndim != 5 or arr.shape[:2] != (3, 4) or min(arr.shape) < 1:
-        raise TensorFormatError(
-            f"feature-map stack must have shape (3, 4, H, W, C), got {arr.shape}"
-        )
-    if not np.isfinite(arr).all():
-        raise TensorFormatError("feature-map stack contains non-finite values")
-    return _pool(arr)
+    return _pool(check_array(read_tensor(path), (3, 4, "H", "W", "C"), "feature-map stack",
+                             dtype=np.float32, finite=True, error=TensorFormatError))

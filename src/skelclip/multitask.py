@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParseError, TrainingDivergedError
+from .errors import ParseError, TrainingDivergedError, check_array
 from .tensorio import read_tensor, write_tensor
 
 MODES = ("mtln", "frame", "concat", "maxpool")
@@ -42,17 +42,13 @@ class MtlnParams:
     b2: np.ndarray
 
     def __post_init__(self):
-        self.W1 = np.asarray(self.W1, dtype=np.float64)
-        self.b1 = np.asarray(self.b1, dtype=np.float64)
-        self.W2 = np.asarray(self.W2, dtype=np.float64)
-        self.b2 = np.asarray(self.b2, dtype=np.float64)
-        d, h = self.W1.shape
-        h2, n = self.W2.shape
-        if h != h2 or self.b1.shape != (h,) or self.b2.shape != (n,):
-            raise ValueError("inconsistent parameter shapes")
-        for arr in (self.W1, self.b1, self.W2, self.b2):
-            if not np.isfinite(arr).all():
-                raise ValueError("parameters contain non-finite values")
+        dims = {}
+        for name, shape in (("W1", ("d", "h")), ("b1", ("h",)), ("W2", ("h", "n")), ("b2", ("n",))):
+            want = tuple(dims.get(dim, dim) for dim in shape)
+            arr = check_array(np.asarray(getattr(self, name), dtype=np.float64), want,
+                              f"{name} parameter", finite=True)
+            dims.update(zip(shape, arr.shape))
+            setattr(self, name, arr)
 
     @property
     def input_dim(self) -> int:
@@ -126,9 +122,7 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 def _as_batch(params: MtlnParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[2] != params.input_dim:
-        raise ValueError(f"features must be (N, K, {params.input_dim}), got {x.shape}")
-    return x
+    return check_array(x, ("N", "K", params.input_dim), "feature batch")
 
 
 def _forward_batch(params: MtlnParams, x: np.ndarray):
@@ -224,9 +218,7 @@ def mode_inputs(mode: str, x: np.ndarray) -> list[np.ndarray]:
     time-step; concat joins the four vectors in time-step order; maxpool
     takes their elementwise maximum.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[1] != TASK_COUNT:
-        raise ValueError(f"features must be (N, {TASK_COUNT}, d), got {x.shape}")
+    x = check_array(np.asarray(x, dtype=np.float64), ("N", TASK_COUNT, "d"), "feature array")
     if mode == "mtln":
         return [x]
     if mode == "frame":
@@ -278,12 +270,8 @@ def train(
     at initialization followed by one mean training loss per epoch. Raises
     TrainingDivergedError if the loss stops being finite.
     """
-    x = np.asarray(samples, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.intp)
-    if x.ndim != 3 or len(x) == 0:
-        raise ValueError(f"need a non-empty (N, K, d) feature array, got {x.shape}")
-    if y.shape != (len(x),):
-        raise ValueError("one label per sample required")
+    x = check_array(np.asarray(samples, dtype=np.float64), ("N", "K", "d"), "sample array")
+    y = check_array(np.asarray(labels, dtype=np.intp), (len(x),), "label vector")
     if y.min() < 0 or y.max() >= n_classes:
         raise ValueError("labels out of range")
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, check_array
 from .layouts import BUILTIN_LAYOUTS, JointLayout
 
 
@@ -31,19 +31,9 @@ class SkeletonSequence:
     camera_id: int | None = None
 
     def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.float64)
-        if frames.ndim != 3 or frames.shape[2] != 3:
-            raise ValueError(f"frames must have shape (t, m, 3), got {frames.shape}")
-        if frames.shape[0] < 1:
-            raise ValueError("sequence must contain at least one frame")
-        if frames.shape[1] != self.layout.joint_count:
-            raise ValueError(
-                f"frames have {frames.shape[1]} joints, layout "
-                f"{self.layout.name!r} expects {self.layout.joint_count}"
-            )
-        if not np.isfinite(frames).all():
-            raise ValueError("frames contain non-finite coordinates")
-        self.frames = frames
+        self.frames = check_array(np.asarray(self.frames, dtype=np.float64),
+                                  ("t", self.layout.joint_count, 3),
+                                  f"sequence of {self.layout.name!r} joints", finite=True)
 
     @property
     def frame_count(self) -> int:

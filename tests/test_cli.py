@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -315,9 +316,12 @@ def train_args(feature_dir, synth_dir, model, *extra):
 
 
 @pytest.mark.parametrize("arr, message", [
-    (np.zeros((4, 6), dtype=np.float32), "expected d = 24, got 6"),
-    (np.zeros((4, 24), dtype=np.uint8), r"expected a float32 \(4, d\) feature tensor"),
-    (np.zeros((3, 24), dtype=np.float32), r"expected a float32 \(4, d\) feature tensor"),
+    pytest.param(np.zeros((4, 6), dtype=np.float32),
+                 r"expected a float32 \(4, 24\) feature tensor, got float32 \(4, 6\)", id="width"),
+    pytest.param(np.zeros((4, 24), dtype=np.uint8),
+                 r"expected a float32 \(4, 24\) feature tensor, got uint8 \(4, 24\)", id="dtype"),
+    pytest.param(np.zeros((3, 24), dtype=np.float32),
+                 r"expected a float32 \(4, 24\) feature tensor, got float32 \(3, 24\)", id="rows"),
     (np.full((4, 24), np.nan, dtype=np.float32), "non-finite"),
 ])
 def test_train_rejects_bad_feature_file(synth_dir, feature_dir, tmp_path, capsys, arr, message):
@@ -331,6 +335,41 @@ def test_train_rejects_bad_feature_file(synth_dir, feature_dir, tmp_path, capsys
     assert not model.exists()
 
 
+def test_train_refuses_manifest_entries_sharing_a_stem(tmp_path, capsys):
+    # features are looked up by file stem, so both entries would train on x.feat.sktf
+    feats = tmp_path / "feats"
+    feats.mkdir()
+    write_tensor(feats / "x.feat.sktf", np.ones((4, 6), dtype=np.float32))
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("a/x.json 0 - -\nb/x.json 1 - -\n")
+    model = tmp_path / "model.sktf"
+    assert run_cli("train", "--features", feats, "--manifest", manifest, "--epochs", 1,
+                   "--hidden", 4, "--out", model) == 1
+    assert capsys.readouterr().err == (
+        "skelclip: [train] manifest entries a/x.json and b/x.json share a stem\n")
+    assert not model.exists()
+
+
+def test_train_holds_its_features_at_most_twice(tmp_path):
+    # 40 (4, 21504) files: 27.5 MB once stacked as float64
+    feats = tmp_path / "feats"
+    feats.mkdir()
+    rng = np.random.default_rng(0)
+    n, d = 40, 21504
+    for i in range(n):
+        write_tensor(feats / f"s{i:02d}.feat.sktf", rng.standard_normal((4, d), np.float32))
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("".join(f"s{i:02d}.json {i % 2} - -\n" for i in range(n)))
+    tracemalloc.start()
+    try:
+        assert run_cli("train", "--features", feats, "--manifest", manifest, "--epochs", 1,
+                       "--hidden", 8, "--out", tmp_path / "model.sktf") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * (n * 4 * d * 8)
+
+
 def test_predict_rejects_feature_file_of_another_width(synth_dir, feature_dir, tmp_path,
                                                        capsys):
     model = tmp_path / "model.sktf"
@@ -340,7 +379,8 @@ def test_predict_rejects_feature_file_of_another_width(synth_dir, feature_dir, t
     capsys.readouterr()
     assert run_cli("predict", "--model", model, "--features", feature_dir) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"skelclip: [predict] {bad}: expected d = 24, got 5")
+    assert err.startswith(f"skelclip: [predict] {bad}: expected a float32 (4, 24) feature tensor, "
+                          "got float32 (4, 5)")
 
 
 def test_predict_rejects_scaler_of_another_width(tmp_path, rng, capsys):

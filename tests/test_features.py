@@ -350,6 +350,14 @@ def test_feature_maps_nan_rejected(tmp_path):
         load_feature_map_stack(path)
 
 
+def test_feature_maps_non_float32_rejected(tmp_path):
+    path = tmp_path / "s.fmaps.sktf"
+    write_tensor(path, np.zeros((3, 4, 2, 2, 3), dtype=np.uint8))
+    with pytest.raises(TensorFormatError, match=r"expected a float32 \(3, 4, H, W, C\) "
+                                                r"feature-map stack, got uint8 \(3, 4, 2, 2, 3\)"):
+        load_feature_map_stack(path)
+
+
 def test_feature_map_stack_pooling(tmp_path, rng):
     stack = rng.standard_normal((3, 4, 6, 5, 2)).astype(np.float32)
     path = tmp_path / "s.fmaps.sktf"

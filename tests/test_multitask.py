@@ -630,8 +630,10 @@ def test_checkpoint_inconsistent_weights_rejected(tmp_path, rng):
     path.write_bytes(write_checkpoint(path))
     # swap the two bias tensors' names: b1 now has 2 entries for 3 hidden units
     path.write_bytes(path.read_bytes().replace(b"W1 b1 W2 b2", b"W1 b2 W2 b1", 1))
-    with pytest.raises(ParseError, match="inconsistent parameter shapes"):
+    with pytest.raises(ParseError,
+                       match=r"expected a \(3,\) b1 parameter, got float64 \(2,\)") as info:
         load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: ")
     scaler = {"feat_mean": np.zeros((4, 5)), "feat_scale": [1.0]}
     nets = [make_params(5, 3, 2, rng) for _ in range(3)] + [make_params(5, 4, 2, rng)]
     write_raw_checkpoint(path, "frame", {f"frame{i}.{t}": getattr(net, t)

@@ -126,7 +126,7 @@ def test_layout_rejects_corrupted_permutation(perm, corrupt_at):
 
 
 def test_sequence_rejects_empty(fig16):
-    with pytest.raises(ValueError, match="at least one frame"):
+    with pytest.raises(ValueError, match=r"expected a \(t, 16, 3\) .* got float64 \(0, 16, 3\)"):
         SkeletonSequence(layout=fig16, frames=np.zeros((0, 16, 3)))
 
 
