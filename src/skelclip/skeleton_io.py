@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,96 +80,102 @@ class DatasetManifest:
 # NTU .skeleton format
 
 
-class _Lines:
-    def __init__(self, text: str):
-        self._lines = text.splitlines()
-        self.lineno = 0
-
-    def next(self) -> str:
-        while self.lineno < len(self._lines):
-            line = self._lines[self.lineno]
-            self.lineno += 1
-            if line.strip():
-                return line
-        if not any(line.strip() for line in self._lines):
-            raise ParseError("empty file")
-        raise ParseError("unexpected end of file", line=self.lineno)
-
-    def exhausted(self) -> bool:
-        return all(not line.strip() for line in self._lines[self.lineno:])
-
-
-def _parse_count(lines: _Lines, what: str) -> int:
-    line = lines.next()
+def _joint_fault(line: str) -> str | None:
+    """Why one joint line fails the checks of ``parse_ntu_skeleton``, or None."""
     try:
-        return int(line.strip())
+        xyz = np.loadtxt([line], usecols=(0, 1, 2), comments=None)
     except ValueError:
-        raise ParseError(f"malformed {what} {line.strip()!r}", line=lines.lineno) from None
+        fields = line.split(None, 3)
+        if len(fields) < 3:
+            return f"joint line has {len(fields)} fields, need at least 3"
+        return f"non-numeric coordinate in {fields[:3]}"
+    return None if np.isfinite(xyz).all() else "non-finite coordinate"
 
 
 def parse_ntu_skeleton(text: str, layout: JointLayout) -> list[SkeletonSequence]:
     """Parse an NTU-style ``.skeleton`` document into one sequence per body.
 
     Format: first line is the frame count; each frame holds a body-count
-    line, then per body a metadata line (first token is the body ID), a
-    joint-count line, and one whitespace-separated line per joint whose
-    first three fields are x y z. Frames where a body is absent are dropped
-    from that body's sequence. Extra per-joint fields are ignored.
+    line, then per body a metadata line (first token is the body ID, at most
+    once per frame), a joint-count line, and one line per joint whose first
+    three whitespace-separated fields are x y z: C-style decimal floats, so
+    ``1_0`` and non-ASCII digits are rejected. Blank lines and extra fields
+    are ignored. A frame where a body is absent is dropped from its sequence.
 
-    Each coordinate is one ``float()`` of its field, appended to a flat
-    float64 buffer per body ID in file order; the buffer is reshaped to
-    (t, m, 3) at the end, so the frames hold exactly the doubles a per-joint
-    array assignment would have stored.
+    Python walks only the count and metadata lines; each body's joint lines
+    go through one ``np.loadtxt`` call (the doubles ``float()`` gives) and one
+    ``np.isfinite`` check. An error names the first faulty line in the file.
     """
-    lines = _Lines(text)
-    frame_count = _parse_count(lines, "frame count")
-    if frame_count < 1:
-        raise ParseError(f"frame count must be >= 1, got {frame_count}", line=lines.lineno)
+    raw = text.splitlines()
+    lines = list(filter(str.strip, raw))
+    if not lines:
+        raise ParseError("empty file")
+    # the file line of each kept line; a list only when blank lines were dropped
+    numbers = (range(1, len(raw) + 1) if len(lines) == len(raw)
+               else [n for n, s in enumerate(raw, 1) if s.strip()])
+    last_line, raw = len(raw), None
 
+    def count(k: int, what: str) -> int:  # an IndexError past the end is caught below
+        try:
+            return int(lines[k])
+        except ValueError:
+            raise ParseError(f"malformed {what} {lines[k].strip()!r}", line=numbers[k]) from None
+
+    # A structure fault is raised only after the joint lines before it are checked.
     m = layout.joint_count
-    bodies: dict[str, array] = {}
-    for _ in range(frame_count):
-        body_count = _parse_count(lines, "body count")
-        if body_count < 0:
-            raise ParseError(f"body count must be >= 0, got {body_count}", line=lines.lineno)
-        for _ in range(body_count):
-            meta = lines.next().split()
-            if not meta:
-                raise ParseError("empty body metadata line", line=lines.lineno)
-            body_id = meta[0]
-            joint_count = _parse_count(lines, "joint count")
-            if joint_count != m:
-                raise ParseError(
-                    f"joint count {joint_count} does not match layout "
-                    f"{layout.name!r} ({m})",
-                    line=lines.lineno,
-                )
-            coords = bodies.setdefault(body_id, array("d"))
-            for _ in range(joint_count):
-                fields = lines.next().split(None, 3)
-                if len(fields) < 3:
-                    raise ParseError(
-                        f"joint line has {len(fields)} fields, need at least 3",
-                        line=lines.lineno,
-                    )
-                try:
-                    x, y, z = float(fields[0]), float(fields[1]), float(fields[2])
-                except ValueError:
-                    raise ParseError(
-                        f"non-numeric coordinate in {fields[:3]}", line=lines.lineno
-                    ) from None
-                if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-                    raise ParseError("non-finite coordinate", line=lines.lineno)
-                coords.extend((x, y, z))
-    if not lines.exhausted():
-        raise ParseError("trailing content after final frame", line=lines.lineno + 1)
+    blocks: dict[str, list[int]] = {}  # body ID -> index in lines of each joint block
+    pos, structure_fault = 1, None
+    try:
+        frame_count = count(0, "frame count")
+        if frame_count < 1:
+            raise ParseError(f"frame count must be >= 1, got {frame_count}", line=numbers[0])
+        for _ in range(frame_count):
+            body_count = count(pos, "body count")
+            if body_count < 0:
+                raise ParseError(f"body count must be >= 0, got {body_count}", line=numbers[pos])
+            pos, seen = pos + 1, set()
+            for _ in range(body_count):
+                body_id = lines[pos].split()[0]
+                if body_id in seen:
+                    raise ParseError(f"body ID {body_id} repeated in one frame", line=numbers[pos])
+                seen.add(body_id)
+                joint_count = count(pos + 1, "joint count")
+                if joint_count != m:
+                    raise ParseError(f"joint count {joint_count} does not match layout "
+                                     f"{layout.name!r} ({m})", line=numbers[pos + 1])
+                blocks.setdefault(body_id, []).append(pos + 2)
+                pos += 2 + m
+        if pos > len(lines):
+            raise IndexError  # the last joint block is cut short
+    except ParseError as exc:
+        structure_fault = exc
+    except IndexError:
+        structure_fault = ParseError("unexpected end of file", line=last_line)
+
+    bodies, joint_faults = [], []
+    for starts in blocks.values():
+        body = [joint for s in starts for joint in lines[s:s + m]]
+        if not body:  # the file ends right after this body's joint-count line
+            continue
+        try:
+            xyz = np.loadtxt(body, usecols=(0, 1, 2), comments=None, ndmin=2)
+        except ValueError:
+            xyz = None
+        if xyz is not None and np.isfinite(xyz).all():
+            bodies.append(xyz)
+        else:
+            r, why = next((r, why) for r, joint in enumerate(body) if (why := _joint_fault(joint)))
+            joint_faults.append((starts[r // m] + r % m, why))
+    if joint_faults:
+        k, why = min(joint_faults)
+        raise ParseError(why, line=numbers[k])
+    if structure_fault is not None:
+        raise structure_fault
+    if pos < len(lines):
+        raise ParseError("trailing content after final frame", line=numbers[pos])
     if not bodies:
         raise ParseError("no bodies found in any frame")
-
-    return [
-        SkeletonSequence(layout=layout, frames=np.frombuffer(coords).reshape(-1, m, 3))
-        for coords in bodies.values()
-    ]
+    return [SkeletonSequence(layout=layout, frames=xyz.reshape(-1, m, 3)) for xyz in bodies]
 
 
 # ---------------------------------------------------------------------------

@@ -330,6 +330,104 @@ def test_ntu_bad_joint_line_names_line(joint, message):
     assert message in str(info.value)
 
 
+def _bulk_document():
+    """Lines of a 3-frame document: body 100 in every frame, body 200 in
+    frames 1 and 3, a blank line inside each body's joint block, and 12
+    fields on every other joint line. Returns the lines and, per (frame,
+    body ID), the file line numbers of its 25 joint lines."""
+    lines, joints = ["3"], {}
+    for f, ids in enumerate([("100", "200"), ("100",), ("200", "100")], start=1):
+        lines.append(str(len(ids)))
+        for body_id in ids:
+            lines += [f"{body_id} 0 1 0 0 0 -0.2 0.1 0 2", "25"]
+            joints[f, body_id] = []
+            for k in range(25):
+                if k == 10:
+                    lines.append("")
+                tail = " 0.1 0.2 0.3 0 0 0 0 0 2" if k % 2 else ""
+                lines.append(f"{k / 8} {f} -{int(body_id) / 64}{tail}")
+                joints[f, body_id].append(len(lines))
+    return lines, joints
+
+
+@pytest.mark.parametrize("frame, body_id, k, joint, line, message", [
+    (3, "100", 24, "0.5\t0.25", 144, "joint line has 2 fields, need at least 3"),
+    (1, "200", 12, "0.5 oops 1 2 3", 46, "non-numeric coordinate in ['0.5', 'oops', '1']"),
+    (3, "200", 0, "0 0 -inf", 91, "non-finite coordinate"),
+    (2, "100", 9, "nan 1 2 0 0 0 0 0 0 0 0 2", 71, "non-finite coordinate"),
+])
+def test_ntu_bulk_fault_names_line(frame, body_id, k, joint, line, message):
+    lines, joints = _bulk_document()
+    assert joints[frame, body_id][k] == line
+    lines[line - 1] = joint
+    with pytest.raises(ParseError) as info:
+        parse_ntu_skeleton("\n".join(lines) + "\n", load_layout("ntu-25"))
+    assert str(info.value) == f"line {line}: {message}"
+
+
+def test_ntu_first_fault_in_file_order_wins_across_bodies():
+    # body 100's fault comes later in the file than body 200's
+    lines, joints = _bulk_document()
+    lines[joints[3, "100"][3] - 1] = "0 x 0"
+    lines[joints[3, "200"][20] - 1] = "0 0 nan"
+    with pytest.raises(ParseError, match="^line 112: non-finite coordinate$"):
+        parse_ntu_skeleton("\n".join(lines) + "\n", load_layout("ntu-25"))
+
+
+@pytest.mark.parametrize("cut", [100, 116, 117, 118, 143])
+def test_ntu_bulk_truncated_file_names_last_line(cut):
+    # cut inside a block, after a whole block, after a metadata line, after
+    # a joint-count line, and one line short of the end
+    lines, _ = _bulk_document()
+    with pytest.raises(ParseError) as info:
+        parse_ntu_skeleton("\n".join(lines[:cut]) + "\n", load_layout("ntu-25"))
+    assert str(info.value) == f"line {cut}: unexpected end of file"
+
+
+def test_ntu_truncated_file_checks_the_joint_lines_it_has():
+    lines, joints = _bulk_document()
+    lines[joints[3, "200"][4] - 1] = "1 2"
+    with pytest.raises(ParseError, match="^line 95: joint line has 2 fields"):
+        parse_ntu_skeleton("\n".join(lines[:100]) + "\n", load_layout("ntu-25"))
+
+
+def test_ntu_mixed_field_counts_match_reference():
+    lines, _ = _bulk_document()
+    text = "\n".join(lines) + "\n"
+    layout = load_layout("ntu-25")
+    got = parse_ntu_skeleton(text, layout)
+    expected = ntu_reference(text, layout)
+    assert [seq.frames.shape for seq in got] == [(3, 25, 3), (2, 25, 3)]
+    assert [seq.frames.tobytes() for seq in got] == [ref.tobytes() for ref in expected]
+
+
+def test_ntu_body_listed_twice_in_one_frame_is_rejected():
+    joints = "0 0 0\n" * 25
+    text = f"1\n2\n100 0\n25\n{joints}100 1\n25\n{joints}"
+    with pytest.raises(ParseError) as info:
+        parse_ntu_skeleton(text, load_layout("ntu-25"))
+    assert str(info.value) == "line 30: body ID 100 repeated in one frame"
+    assert info.value.line == 30
+
+
+def test_ntu_trailing_content_names_the_first_non_blank_line():
+    joints = "0 0 0\n" * 25
+    text = f"1\n1\n100 0\n25\n{joints}\n \n\t\njunk\n\n"
+    with pytest.raises(ParseError) as info:
+        parse_ntu_skeleton(text, load_layout("ntu-25"))
+    assert str(info.value) == "line 33: trailing content after final frame"
+
+
+@pytest.mark.parametrize("field", ["1_0", "١٢", "0.3#x"])
+def test_ntu_coordinates_are_c_style_decimal_floats(field):
+    # float() accepts the first two; the parser rejects them all
+    joints = "0 0 0\n" * 24
+    text = f"1\n1\n100 0\n25\n{joints}0 {field} 0 0 0\n"
+    with pytest.raises(ParseError) as info:
+        parse_ntu_skeleton(text, load_layout("ntu-25"))
+    assert str(info.value) == f"line 29: non-numeric coordinate in ['0', '{field}', '0']"
+
+
 # ---------------------------------------------------------------------------
 # Canonical format
 
