@@ -8,6 +8,7 @@ configuration and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -68,6 +69,13 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _replacing(path: Path) -> Path:
+    """``path``, after a stderr notice if a file there is about to be replaced."""
+    if path.exists():
+        print(f"skelclip: replaced {path}", file=sys.stderr)
+    return path
+
+
 def _cmd_gen_clips(args) -> int:
     layout = load_layout(args.layout)
     options = ClipOptions(coords=args.coords, scale_scope=args.scale, size=args.size)
@@ -80,11 +88,11 @@ def _cmd_gen_clips(args) -> int:
         with _stage("clips", f"{src} body {i}"):
             cs = generate_clips(seq, options)
         stem = src.stem if len(bodies) == 1 else f"{src.stem}.b{i}"
-        write_tensor(out / f"{stem}.clips.sktf", cs.as_array())
+        write_tensor(_replacing(out / f"{stem}.clips.sktf"), cs.as_array())
         if args.pgm:
             for c, channel in enumerate(cs.channels):
                 for r in range(4):
-                    write_pgm(cs.pixels[c, r], out / f"{stem}.{channel}.ref{r}.pgm")
+                    write_pgm(cs.pixels[c, r], _replacing(out / f"{stem}.{channel}.ref{r}.pgm"))
     print(f"wrote {len(bodies)} clip set(s) to {out}")
     return 0
 
@@ -106,8 +114,8 @@ def _cmd_extract(args) -> int:
         raise StageError("extract", f"no input tensors found in {clip_dir}")
     for path in paths:
         with _stage("extract", path):
-            feats = stack_time_step_features(features(path))
-        write_tensor(out / f"{path.name[:-len(suffix)]}.feat.sktf", feats.astype(np.float32))
+            feats = stack_time_step_features(features(path)).astype(np.float32)
+        write_tensor(_replacing(out / f"{path.name[:-len(suffix)]}.feat.sktf"), feats)
     print(f"wrote {len(paths)} feature file(s) to {out}")
     return 0
 
@@ -267,7 +275,9 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per process: no default is mutable, and parse_args returns a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="skelclip",
         description="Skeleton clip encoding, frozen-feature extraction and "

@@ -14,6 +14,7 @@ plain (H, W) uint8 arrays.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -103,27 +104,40 @@ def cylindrical_to_cartesian(c: np.ndarray) -> np.ndarray:
     return np.stack([r * np.cos(az), r * np.sin(az), c[..., 2]], axis=-1)
 
 
-def _round_half_up(values: np.ndarray) -> np.ndarray:
-    # round-half-away-from-zero for non-negative values, pinned for
-    # bit-reproducibility (np.round would round half to even)
-    return np.floor(values + 0.5)
-
-
 def scale_to_gray(
     values: np.ndarray, bounds: tuple[float, float] | None = None
 ) -> np.ndarray:
-    """Linearly map an array to 0..255 uint8 pixels.
+    """Linearly map an array to 0..255 uint8 pixels, rounding half up.
 
-    ``bounds`` fixes the (min, max) of the linear map; by default the
-    array's own range is used. A degenerate range yields an all-zero image.
+    ``bounds`` fixes the (min, max) of the linear map (default: the array's
+    own); a value outside them raises a ValueError. A degenerate range yields
+    an all-zero image. ``255 * (v - min) / (max - min)`` is in [0, 255] up to
+    a few ulps, so after + 0.5 the uint8 cast's truncation is the floor.
     """
     values = check_array(np.asarray(values, dtype=np.float64), ("rows", "cols"), "value array",
                          finite=True)
-    vmin, vmax = bounds if bounds is not None else (values.min(), values.max())
+    lo, hi = values.min(), values.max()
+    vmin, vmax = bounds if bounds is not None else (lo, hi)
+    if not vmin <= lo <= hi <= vmax:
+        raise ValueError(f"value array range [{lo}, {hi}] is not within bounds [{vmin}, {vmax}]")
     if vmax == vmin:
         return np.zeros(values.shape, dtype=np.uint8)
-    scaled = 255.0 * (values - vmin) / (vmax - vmin)
-    return _round_half_up(scaled).astype(np.uint8)
+    scaled = values - vmin
+    scaled *= 255.0
+    scaled /= vmax - vmin
+    scaled += 0.5
+    return scaled.astype(np.uint8)
+
+
+@functools.lru_cache(maxsize=64)
+def _taps(n_in: int, n_out: int) -> tuple[np.ndarray, ...]:
+    """Read-only (i0, i1, 1 - w, w) sampling ``n_out`` points of ``n_in``."""
+    pos = np.clip((np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
+    i0 = np.floor(pos).astype(np.intp)
+    taps = (i0, np.minimum(i0 + 1, n_in - 1), 1.0 - (pos - i0), pos - i0)
+    for a in taps:
+        a.setflags(write=False)
+    return taps
 
 
 def resize_bilinear(frame: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -138,28 +152,24 @@ def resize_bilinear(frame: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     the columns are gathered from those: a multiply commutes with a gather,
     so every pixel sees the same float operations in the same order as a
     direct four-corner gather, and the result is bit-identical to it.
+    For uint8 pixels that sum lies in [0, 255] up to a few ulps, so after
+    + 0.5 the uint8 cast's truncation is the floor and no clip is needed.
     """
     if out_h < 1 or out_w < 1:
         raise ValueError(f"output dims must be >= 1, got {out_h}x{out_w}")
-    src = frame.astype(np.float64)
-    h, w = src.shape
-    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
-    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
-    y0 = np.floor(ys).astype(np.intp)
-    x0 = np.floor(xs).astype(np.intp)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0)[:, None]
-    wx = xs - x0
-    top = src[y0] * (1.0 - wy)
-    bot = src[y1] * wy
-    out = top[:, x0] * (1.0 - wx)
-    out += top[:, x1] * wx
-    out += bot[:, x0] * (1.0 - wx)
-    out += bot[:, x1] * wx
+    frame = check_array(frame, ("H", "W"), "gray frame", dtype=np.uint8)
+    y0, y1, wy0, wy1 = _taps(frame.shape[0], out_h)
+    x0, x1, wx0, wx1 = _taps(frame.shape[1], out_w)
+    top = frame[y0] * wy0[:, None]
+    bot = frame[y1] * wy1[:, None]
+    out = top[:, x0]
+    out *= wx0
+    for rows, cols, weights in ((top, x1, wx1), (bot, x0, wx0), (bot, x1, wx1)):
+        term = rows[:, cols]
+        term *= weights
+        out += term
+        del term  # freed before the next gather, which then reuses its pages
     out += 0.5
-    np.floor(out, out=out)
-    np.clip(out, 0, 255, out=out)
     return out.astype(np.uint8)
 
 

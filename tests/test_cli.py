@@ -17,8 +17,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import skelclip
-from skelclip import SkeletonSequence, load_layout, read_tensor, write_canonical, write_tensor
-from skelclip.cli import main
+from skelclip import (
+    ClipOptions,
+    SkeletonSequence,
+    generate_clips,
+    load_layout,
+    load_sequences,
+    read_tensor,
+    write_canonical,
+    write_tensor,
+)
+from skelclip.cli import build_parser, main
 
 from conftest import write_raw_checkpoint
 
@@ -667,3 +676,46 @@ def test_train_manifest_fault_names_the_manifest(tmp_path, capsys):
                    "--out", tmp_path / "m.sktf") == 1
     assert capsys.readouterr().err == (
         f"skelclip: [manifest] {manifest}: line 1: expected 4 fields, got 3\n")
+
+
+def test_one_parser_per_process_leaks_nothing_between_calls(synth_dir, tmp_path, capsys):
+    assert build_parser() is build_parser()
+    src = sorted(synth_dir.glob("*.json"))[0]
+    name = f"{src.stem}.clips.sktf"
+    gen = ("gen-clips", "--layout", "figure2-16", "--size", 16)
+    assert run_cli(*gen, "--input", src, "--out", tmp_path / "pgm", "--pgm") == 0
+    bad = tmp_path / "empty.json"
+    bad.write_bytes(b"")
+    assert run_cli(*gen, "--input", bad, "--out", tmp_path / "bad") == 1
+    assert capsys.readouterr().err.startswith(f"skelclip: [load] {bad}: ")
+    assert run_cli(*gen, "--input", src, "--out", tmp_path / "last") == 0
+    fresh = run_cli_capped(*gen, "--input", src, "--out", tmp_path / "fresh")
+    assert fresh.returncode == 0, fresh.stderr
+    assert [p.name for p in (tmp_path / "last").iterdir()] == [name]  # no --pgm carried over
+    for out in ("pgm", "last"):
+        assert (tmp_path / out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
+def test_outputs_sharing_a_stem_are_replaced_with_a_notice(synth_dir, tmp_path, capsys):
+    first, second = sorted(synth_dir.glob("*.json"))[:2]
+    for side, data in (("a", first), ("b", second)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "x.json").write_bytes(data.read_bytes())
+    clips, feats = tmp_path / "clips", tmp_path / "feats"
+    capsys.readouterr()
+    for side in ("a", "b"):
+        assert run_cli("gen-clips", "--input", tmp_path / side / "x.json",
+                       "--layout", "figure2-16", "--size", 32, "--out", clips) == 0
+        assert run_cli("extract", "--clips", clips, "--channels", 4, "--out", feats) == 0
+        notices = [f"skelclip: replaced {clips / 'x.clips.sktf'}\n",
+                   f"skelclip: replaced {feats / 'x.feat.sktf'}\n"] if side == "b" else []
+        assert capsys.readouterr().err == "".join(notices)
+    expected = generate_clips(load_sequences(second, load_layout("figure2-16"))[0],
+                              ClipOptions(size=32))
+    assert np.array_equal(read_tensor(clips / "x.clips.sktf"), expected.as_array())
+    assert run_cli("gen-clips", "--input", second, "--layout", "figure2-16", "--size", 32,
+                   "--out", clips, "--pgm") == 0
+    assert capsys.readouterr().err.count("skelclip: replaced ") == 0
+    assert run_cli("gen-clips", "--input", second, "--layout", "figure2-16", "--size", 32,
+                   "--out", clips, "--pgm") == 0
+    assert capsys.readouterr().err.count("skelclip: replaced ") == 13

@@ -131,6 +131,47 @@ def test_scale_explicit_bounds():
     assert np.array_equal(px, np.array([[64, 128]], dtype=np.uint8))
 
 
+def scale_reference(values, lo, hi):
+    """floor(255 * (v - lo) / (hi - lo) + 0.5), the map scale_to_gray computes."""
+    return np.floor(255.0 * (values - lo) / (hi - lo) + 0.5).astype(np.uint8)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_scale_matches_floor_reference(seed):
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-3, 3, size=(int(rng.integers(1, 300)), int(rng.integers(1, 30))))
+    lo, hi = values.min(), values.max()
+    assert scale_to_gray(values).tobytes() == scale_reference(values, lo, hi).tobytes()
+    wider = (lo - 0.5, hi + 0.25)
+    assert scale_to_gray(values, bounds=wider).tobytes() == \
+        scale_reference(values, *wider).tobytes()
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-2.5, 7.0), (-1e-9, 1e-9), (3.0, 3.0 + 2**-40)])
+def test_scale_hits_bounds_exactly(lo, hi):
+    # arrays holding the bounds themselves, plus the midpoint and the
+    # values that scale to exactly k + 0.5, where rounding half up decides
+    values = np.array([[lo, hi, (lo + hi) / 2], [lo, lo, hi]])
+    halves = np.clip(lo + (np.arange(255) + 0.5) / 255 * (hi - lo), lo, hi)
+    halves = np.concatenate([[lo, hi], halves])
+    for arr in (values, np.vstack([halves, halves[::-1]])):
+        for bounds in (None, (lo, hi)):
+            got = scale_to_gray(arr, bounds=bounds)
+            assert got.tobytes() == scale_reference(arr, lo, hi).tobytes()
+
+
+@pytest.mark.parametrize("values, bounds", [
+    ([[-1.0, 5.0, 2.0]], (0.0, 4.0)),
+    ([[1.0, 4.5]], (0.0, 4.0)),
+    ([[-0.5, 1.0]], (0.0, 4.0)),
+    ([[2.0, 2.0]], (3.0, 1.0)),         # min > max
+    ([[2.0, 2.0]], (2.0, 1.0)),
+])
+def test_scale_rejects_values_outside_bounds(values, bounds):
+    with pytest.raises(ValueError, match=r"range \[.*\] is not within bounds \[.*\]"):
+        scale_to_gray(np.array(values), bounds=bounds)
+
+
 # ---------------------------------------------------------------------------
 # bilinear resize
 
@@ -212,6 +253,10 @@ def resize_reference(frame, out_h, out_w):
     ((300, 30), (17, 11)),
     ((250, 250), (224, 224)),
     ((7, 300), (3, 250)),
+    ((40, 15), (1, 1)),
+    ((40, 15), (1, 224)),
+    ((40, 15), (224, 1)),
+    ((1, 1), (1, 1)),
 ])
 def test_resize_matches_reference_bytes(src_shape, out_shape):
     rng = np.random.default_rng(sum(src_shape) * 1000 + sum(out_shape))
@@ -219,6 +264,14 @@ def test_resize_matches_reference_bytes(src_shape, out_shape):
     got = resize_bilinear(src, *out_shape)
     assert got.dtype == np.uint8
     assert got.tobytes() == resize_reference(src, *out_shape).tobytes()
+    # resize_bilinear has no floor or 0..255 clip; the reference keeps both.
+    # All-0, all-255 and saturated frames (255 with isolated 0s) sit at the
+    # ends of the range, where a rounding error would show first.
+    saturated = np.full(src_shape, 255, dtype=np.uint8)
+    saturated.flat[rng.choice(saturated.size, size=max(1, saturated.size // 7), replace=False)] = 0
+    for extreme in (np.zeros(src_shape, np.uint8), np.full(src_shape, 255, np.uint8), saturated):
+        assert resize_bilinear(extreme, *out_shape).tobytes() == \
+            resize_reference(extreme, *out_shape).tobytes()
 
 
 @settings(max_examples=50, deadline=None)
@@ -228,6 +281,13 @@ def test_resize_matches_reference_on_random_shapes(h, w, out_h, out_w, seed):
     src = np.random.default_rng(seed).integers(0, 256, size=(h, w), dtype=np.uint8)
     assert resize_bilinear(src, out_h, out_w).tobytes() == \
         resize_reference(src, out_h, out_w).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int16])
+def test_resize_rejects_non_uint8_frames(dtype):
+    # the truncating uint8 cast is exact only for sums of uint8 pixels
+    with pytest.raises(ValueError, match="uint8 \\(H, W\\) gray frame"):
+        resize_bilinear(np.full((4, 5), 300, dtype=dtype), 8, 8)
 
 
 def test_resize_rejects_bad_dims():
