@@ -164,7 +164,6 @@ def _cmd_train(args) -> int:
         batch_size=args.batch,
         epochs=args.epochs,
         seed=args.seed,
-        mode=args.mode,
         hidden=args.hidden,
     )
     nets, curves = train_mode(args.mode, x, np.array(ys, dtype=np.intp), cfg, manifest.class_count)
@@ -213,27 +212,30 @@ def _protocol_from_config(cfg: ConfigFile) -> tuple[SplitProtocol, int]:
 
 
 def pipeline_from_config(cfg: ConfigFile) -> PipelineConfig:
+    """The config's pipeline; an absent key keeps ``PipelineConfig()``'s value."""
+    base = PipelineConfig()
+    clip, ext, train = base.clip_options, base.extractor, base.train
     return PipelineConfig(
         clip_options=ClipOptions(
-            coords=cfg.get("coords", str, "cylindrical"),
-            scale_scope=cfg.get("scale", str, "frame"),
-            size=cfg.get("size", int, 224),
+            coords=cfg.get("coords", str, clip.coords),
+            scale_scope=cfg.get("scale", str, clip.scale_scope),
+            size=cfg.get("size", int, clip.size),
         ),
         extractor=ExtractorSpec(
-            channels=cfg.get("channels", int, 64),
-            seed=cfg.get("extractor_seed", int, 0),
+            channels=cfg.get("channels", int, ext.channels),
+            seed=cfg.get("extractor_seed", int, ext.seed),
         ),
         train=TrainConfig(
-            learning_rate=cfg.get("lr", float, 0.001),
-            batch_size=cfg.get("batch", int, 100),
-            epochs=cfg.get("epochs", int, 35),
-            seed=cfg.get("train_seed", int, 0),
-            hidden=cfg.get("hidden", int, 512),
+            learning_rate=cfg.get("lr", float, train.learning_rate),
+            batch_size=cfg.get("batch", int, train.batch_size),
+            epochs=cfg.get("epochs", int, train.epochs),
+            seed=cfg.get("train_seed", int, train.seed),
+            hidden=cfg.get("hidden", int, train.hidden),
         ),
-        augment_count=cfg.get("augment", int, 0),
-        augment_seed=cfg.get("augment_seed", int, 0),
-        standardize=cfg.get("standardize", parse_bool, True),
-        test_average_crops=cfg.get("test_average_crops", parse_bool, False),
+        augment_count=cfg.get("augment", int, base.augment_count),
+        augment_seed=cfg.get("augment_seed", int, base.augment_seed),
+        standardize=cfg.get("standardize", parse_bool, base.standardize),
+        test_average_crops=cfg.get("test_average_crops", parse_bool, base.test_average_crops),
     )
 
 
@@ -288,20 +290,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate the synthetic benchmark dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--layout", default="figure2-16")
-    p.add_argument("--classes", type=int, default=5)
-    p.add_argument("--per-class", type=int, default=60)
-    p.add_argument("--t-min", type=int, default=20)
-    p.add_argument("--t-max", type=int, default=60)
-    p.add_argument("--sigma", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--classes", type=int, default=SynthConfig.n_classes)
+    p.add_argument("--per-class", type=int, default=SynthConfig.samples_per_class)
+    p.add_argument("--t-min", type=int, default=SynthConfig.t_min)
+    p.add_argument("--t-max", type=int, default=SynthConfig.t_max)
+    p.add_argument("--sigma", type=float, default=SynthConfig.sigma)
+    p.add_argument("--seed", type=int, default=SynthConfig.seed)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("gen-clips", help="encode a sequence file as clips")
     p.add_argument("--input", required=True)
     p.add_argument("--layout", required=True)
-    p.add_argument("--coords", choices=["cylindrical", "cartesian"], default="cylindrical")
-    p.add_argument("--scale", choices=["frame", "clip"], default="frame")
-    p.add_argument("--size", type=int, default=224)
+    p.add_argument("--coords", choices=["cylindrical", "cartesian"], default=ClipOptions.coords)
+    p.add_argument("--scale", choices=["frame", "clip"], default=ClipOptions.scale_scope)
+    p.add_argument("--size", type=int, default=ClipOptions.size)
     p.add_argument("--out", required=True)
     p.add_argument("--pgm", action="store_true", help="also write PGM images")
     p.set_defaults(func=_cmd_gen_clips)
@@ -309,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="clips -> pooled time-step features")
     p.add_argument("--clips", required=True)
     p.add_argument("--extractor", choices=["builtin", "precomputed"], default="builtin")
-    p.add_argument("--channels", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--channels", type=int, default=ExtractorSpec.channels)
+    p.add_argument("--seed", type=int, default=ExtractorSpec.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_extract)
 
@@ -319,12 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--layout", default="figure2-16")
     p.add_argument("--classes", type=int, default=None)
-    p.add_argument("--mode", choices=["mtln", "frame", "concat", "maxpool"], default="mtln")
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--batch", type=int, default=100)
-    p.add_argument("--epochs", type=int, default=35)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hidden", type=int, default=512)
+    p.add_argument("--mode", choices=MODES, default=TrainConfig.mode)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--hidden", type=int, default=TrainConfig.hidden)
     p.add_argument("--no-standardize", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)

@@ -110,8 +110,9 @@ def scale_to_gray(
     """Linearly map an array to 0..255 uint8 pixels, rounding half up.
 
     ``bounds`` fixes the (min, max) of the linear map (default: the array's
-    own); a value outside them raises a ValueError. A degenerate range yields
-    an all-zero image. ``255 * (v - min) / (max - min)`` is in [0, 255] up to
+    own); a value outside them, or a range whose ``255 * (max - min)`` is
+    not a finite float64, raises a ValueError. A degenerate range yields an
+    all-zero image. ``255 * (v - min) / (max - min)`` is in [0, 255] up to
     a few ulps, so after + 0.5 the uint8 cast's truncation is the floor.
     """
     values = check_array(np.asarray(values, dtype=np.float64), ("rows", "cols"), "value array",
@@ -122,9 +123,12 @@ def scale_to_gray(
         raise ValueError(f"value array range [{lo}, {hi}] is not within bounds [{vmin}, {vmax}]")
     if vmax == vmin:
         return np.zeros(values.shape, dtype=np.uint8)
+    span = float(vmax) - float(vmin)  # Python floats overflow to inf without a warning
+    if not np.isfinite(span * 255.0):
+        raise ValueError(f"value range [{vmin}, {vmax}] is too wide to scale to gray")
     scaled = values - vmin
     scaled *= 255.0
-    scaled /= vmax - vmin
+    scaled /= span
     scaled += 0.5
     return scaled.astype(np.uint8)
 

@@ -74,12 +74,7 @@ def make_splits(
         k = protocol.fold_count
         if k > len(entries):
             raise ValueError(f"cannot cut {k} folds from {len(entries)} entries")
-        base, extra = divmod(len(entries), k)
-        folds, start = [], 0
-        for i in range(k):
-            size = base + (1 if i < extra else 0)
-            folds.append([entries[j] for j in order[start:start + size]])
-            start += size
+        folds = [[entries[j] for j in part] for part in np.array_split(order, k)]
         pairs = [
             ([e for j, f in enumerate(folds) if j != i for e in f], folds[i])
             for i in range(k)

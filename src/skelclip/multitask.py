@@ -11,7 +11,6 @@ elementwise maximum ("maxpool").
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -384,87 +383,71 @@ class ModeModel:
 
 _CHECKPOINT_MAGIC = "skelclip-model 1"
 _NET_TENSORS = ("W1", "b1", "W2", "b2")
-_TENSOR_NAME = re.compile(rf"(?:(?:{'|'.join(MODES)})\d+\.)?(?:{'|'.join(_NET_TENSORS)})"
-                          r"|feat_mean|feat_scale")
+
+
+def _tensor_names(mode: str) -> list[str]:
+    """A ``mode`` checkpoint's tensors in file order: each net's W1 b1 W2 b2,
+    as ``frame<i>.W1`` and so on for the four frame nets, then the scaler."""
+    prefixes = [f"frame{i}." for i in range(TASK_COUNT)] if mode == "frame" else [""]
+    return [p + t for p in prefixes for t in _NET_TENSORS] + ["feat_mean", "feat_scale"]
+
+
+def _header(model: ModeModel, seed: int) -> str:
+    first = model.nets[0]
+    return (f"{_CHECKPOINT_MAGIC}\nmode {model.mode}\nd {first.input_dim}\nh {first.hidden_dim}\n"
+            f"n_classes {first.class_count}\nseed {seed}\n"
+            f"tensors {' '.join(_tensor_names(model.mode))}\nend\n")
 
 
 def save_checkpoint(path: str | Path, model: ModeModel, seed: int) -> None:
-    """Write a mode's nets in order, then its scaler, plus metadata.
-
-    One net is stored as tensors W1 b1 W2 b2; several nets (the per-frame
-    baseline) as ``<mode><i>.W1`` and so on. The scaler follows as
-    ``feat_mean`` (4, d) and ``feat_scale`` (1,).
-    """
-    names: list[str] = []
-    tensors: list[np.ndarray] = []
-    for i, params in enumerate(model.nets):
-        prefix = f"{model.mode}{i}." if len(model.nets) > 1 else ""
-        for tname in _NET_TENSORS:
-            names.append(prefix + tname)
-            tensors.append(getattr(params, tname))
-    names += ["feat_mean", "feat_scale"]
+    """Write ``_header(model, seed)``, then the tensors ``_tensor_names``
+    lists: the nets' weights in net order, then the scaler as ``feat_mean``
+    (4, d) and ``feat_scale`` (1,)."""
+    tensors = [getattr(net, t) for net in model.nets for t in _NET_TENSORS]
     tensors += [np.asarray(model.scaler.mean), np.array([model.scaler.scale])]
-    first = model.nets[0]
-    header = (
-        f"{_CHECKPOINT_MAGIC}\n"
-        f"mode {model.mode}\n"
-        f"d {first.input_dim}\n"
-        f"h {first.hidden_dim}\n"
-        f"n_classes {first.class_count}\n"
-        f"seed {seed}\n"
-        f"tensors {' '.join(names)}\n"
-        "end\n"
-    )
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
+        fh.write(_header(model, seed).encode("ascii"))
         for arr in tensors:
             write_tensor(fh, arr.astype(np.float32))
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModeModel, dict[str, str]]:
-    """Returns (the stored ModeModel, meta dict).
-
-    A malformed header or tensor, a net without all of W1 b1 W2 b2, a
-    tensor name that is repeated or not one ``save_checkpoint`` writes, and
-    any model ``ModeModel`` rejects (a missing or misfit scaler included)
-    raise a ParseError naming the file.
-    """
+    """Returns (the stored ModeModel, meta dict). A file ``save_checkpoint``
+    could not have written (an unknown mode, other tensor names or order,
+    bytes after the last tensor, a model ``ModeModel`` rejects, a header not
+    equal to ``_header`` of the stored model) raises a ParseError naming it."""
     try:
         with open(path, "rb") as fh:
-            meta: dict[str, str] = {}
-            first = fh.readline().decode("ascii", errors="replace").rstrip("\n")
-            if first != _CHECKPOINT_MAGIC:
-                raise ParseError(f"not a model checkpoint: {first!r}")
-            names: list[str] = []
-            while True:
-                line = fh.readline().decode("ascii", errors="replace").rstrip("\n")
-                if line == "end":
-                    break
-                if not line:
+            lines = [fh.readline().decode("ascii", errors="replace").rstrip("\n")]
+            if lines[0] != _CHECKPOINT_MAGIC:
+                raise ParseError(f"not a model checkpoint: {lines[0]!r}")
+            while lines[-1] != "end":
+                lines.append(fh.readline().decode("ascii", errors="replace").rstrip("\n"))
+                if not lines[-1]:
                     raise ParseError("unterminated checkpoint header")
-                key, _, value = line.partition(" ")
-                if key == "tensors":
-                    names = value.split()
-                else:
-                    meta[key] = value
-            tensors = {name: read_tensor(fh).astype(np.float64) for name in names}
+            meta = dict(line.partition(" ")[::2] for line in lines[1:-1])
+            names = meta.pop("tensors", "").split()
+            mode = meta.get("mode")
+            if mode not in MODES:
+                raise ParseError(f"unknown mode {mode!r}")
+            if names != _tensor_names(mode):
+                raise ParseError(f"mode {mode} stores tensors {' '.join(_tensor_names(mode))}, "
+                                 f"got {' '.join(names) or 'none'}")
+            *weights, mean, scale = (read_tensor(fh).astype(np.float64) for _ in names)
+            if fh.read(1):
+                raise ParseError("trailing bytes after the last tensor")
 
-        groups: dict[str, dict[str, np.ndarray]] = {}
-        for name, arr in tensors.items():
-            prefix, _, leaf = name.rpartition(".")
-            if leaf in _NET_TENSORS:
-                groups.setdefault(prefix, {})[leaf] = arr
-        for prefix, parts in groups.items():
-            missing = [f"{prefix}.{t}" if prefix else t for t in _NET_TENSORS if t not in parts]
-            if missing:
-                raise ValueError(f"missing tensor {' '.join(missing)}")
-        if len(tensors) != len(names) or not all(map(_TENSOR_NAME.fullmatch, names)):
-            raise ValueError(f"unexpected tensor names {' '.join(names)}")
-        # an absent scaler tensor becomes a misfit one, which ModeModel names
-        mean, scale = (tensors.get(t, np.empty(0)) for t in ("feat_mean", "feat_scale"))
-        scaler = FeatureScaler(mean=mean, scale=float(scale[0]) if scale.shape == (1,) else np.nan)
-        model = ModeModel(meta.get("mode"), [MtlnParams(**parts) for parts in groups.values()],
-                          scaler)
+        nets = [MtlnParams(*weights[i:i + 4]) for i in range(0, len(weights), 4)]
+        # a misshapen feat_scale becomes a NaN one, which ModeModel names
+        scaler = FeatureScaler(mean, float(scale[0]) if scale.shape == (1,) else np.nan)
+        model = ModeModel(mode, nets, scaler)
+        try:
+            want = _header(model, int(meta.get("seed", ""))).split("\n")
+        except ValueError:
+            raise ParseError(f"seed {meta.get('seed')!r} is not an integer") from None
+        if lines != want[:-1]:  # both end at their one "end" line, so zip finds the fault
+            got, exp = next((g, w) for g, w in zip(lines, want) if g != w)
+            raise ParseError(f"header line {got!r} does not match the stored nets' {exp!r}")
     except ValueError as exc:  # ParseError and TensorFormatError included
         raise ParseError(f"{path}: {exc}") from None
     return model, meta

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,12 @@ from skelclip import (
     write_canonical,
     write_tensor,
 )
-from skelclip.cli import build_parser, main
+from skelclip.cli import _EVAL_KEYS, build_parser, main, pipeline_from_config
+from skelclip.config import ConfigFile
+from skelclip.experiments import PipelineConfig
+from skelclip.features import ExtractorSpec
+from skelclip.multitask import TrainConfig
+from skelclip.synthetic import SynthConfig
 
 from conftest import write_raw_checkpoint
 
@@ -422,8 +428,10 @@ def test_predict_rejects_malformed_checkpoint(tmp_path, capsys):
     model = tmp_path / "model.sktf"
     model.write_bytes(b"skelclip-model 1\nmode frame\ntensors\nend\n")
     assert run_cli("predict", "--model", model, "--features", tmp_path) == 1
+    names = [f"frame{i}.{t}" for i in range(4) for t in ("W1", "b1", "W2", "b2")]
     assert capsys.readouterr().err == (
-        f"skelclip: {model}: mode frame needs 4 net(s), found 0\n")
+        f"skelclip: {model}: mode frame stores tensors {' '.join(names)} feat_mean feat_scale, "
+        "got none\n")
 
 
 # ---------------------------------------------------------------------------
@@ -719,3 +727,43 @@ def test_outputs_sharing_a_stem_are_replaced_with_a_notice(synth_dir, tmp_path, 
     assert run_cli("gen-clips", "--input", second, "--layout", "figure2-16", "--size", 32,
                    "--out", clips, "--pgm") == 0
     assert capsys.readouterr().err.count("skelclip: replaced ") == 13
+
+
+def test_cli_defaults_are_the_library_defaults(tmp_path):
+    def parsed(*argv):
+        return vars(build_parser().parse_args([*argv, "--out", "o"]))
+
+    synth = SynthConfig(layout=load_layout("figure2-16"))
+    args = parsed("synth")
+    assert (args["classes"], args["per_class"], args["t_min"], args["t_max"], args["sigma"],
+            args["seed"]) == (synth.n_classes, synth.samples_per_class, synth.t_min,
+                              synth.t_max, synth.sigma, synth.seed)
+    args = parsed("gen-clips", "--input", "a.json", "--layout", "figure2-16")
+    assert ClipOptions(args["coords"], args["scale"], args["size"]) == ClipOptions()
+    args = parsed("extract", "--clips", "c")
+    assert ExtractorSpec(args["channels"], args["seed"]) == ExtractorSpec()
+    args = parsed("train", "--features", "f", "--manifest", "m")
+    assert TrainConfig(args["lr"], args["batch"], args["epochs"], args["seed"], args["mode"],
+                       args["hidden"]) == TrainConfig()
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("protocol = k-fold\nfolds = 2\nmodes = mtln\n")
+    assert pipeline_from_config(ConfigFile(cfg, _EVAL_KEYS)) == PipelineConfig()
+
+
+def test_gen_clips_rejects_a_value_range_too_wide_to_scale(tmp_path):
+    # joints 3 and 5, neither a reference joint, 2e308 apart in height: the
+    # height frames' range overflows float64
+    frames = np.zeros((3, 16, 3))
+    frames[:, 3, 2], frames[:, 5, 2] = 1e308, -1e308
+    src = tmp_path / "wide.json"
+    src.write_text(write_canonical(SkeletonSequence(load_layout("figure2-16"), frames, label=0)))
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = run_cli("gen-clips", "--input", src, "--layout", "figure2-16", "--size", 16,
+                       "--out", tmp_path / "clips")
+    assert code == 1
+    assert err.getvalue().startswith(f"skelclip: [clips] {src} body 0: value range [")
+    assert err.getvalue().endswith("] is too wide to scale to gray\n")
+    assert caught == []
+    assert list((tmp_path / "clips").iterdir()) == []

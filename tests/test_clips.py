@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,6 +172,25 @@ def test_scale_hits_bounds_exactly(lo, hi):
 def test_scale_rejects_values_outside_bounds(values, bounds):
     with pytest.raises(ValueError, match=r"range \[.*\] is not within bounds \[.*\]"):
         scale_to_gray(np.array(values), bounds=bounds)
+
+
+@pytest.mark.parametrize("values, bounds", [
+    ([[-1e308, 1e308, 0.0, 5e307]], None),  # max - min overflows
+    ([[0.0, 1e307]], None),                 # 255 * (max - min) overflows
+    ([[0.0, 1.0]], (-1e308, 1e308)),
+])
+def test_scale_rejects_a_range_too_wide_to_scale(values, bounds):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"value range \[.*\] is too wide to scale to gray"):
+            scale_to_gray(np.array(values), bounds=bounds)
+
+
+def test_scale_widest_range_that_fits():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        px = scale_to_gray(np.array([[-3.5e305, 0.0, 3.5e305]]))
+    assert px.tolist() == [[0, 128, 255]]
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,25 @@ def test_kfold_uneven_sizes(fig16):
     assert sizes == [3, 4, 4]
 
 
+def test_kfold_cuts_the_seeded_permutation_in_order(fig16):
+    # reference: contiguous folds of the permutation, the first n % k one entry longer
+    for n in range(2, 25):
+        manifest = DatasetManifest(
+            entries=entries_with_subjects(list(range(n))), class_count=2, layout=fig16
+        )
+        for k in range(2, n + 1):
+            for seed in (0, 1):
+                order = np.random.default_rng(seed).permutation(n)
+                base, extra = divmod(n, k)
+                want, start = [], 0
+                for i in range(k):
+                    size = base + (1 if i < extra else 0)
+                    want.append([manifest.entries[j].path for j in order[start:start + size]])
+                    start += size
+                splits = make_splits(manifest, SplitProtocol(kind="k-fold", fold_count=k), seed)
+                assert [[e.path for e in test.entries] for _, test in splits] == want
+
+
 def test_kfold_deterministic(fig16):
     manifest = DatasetManifest(
         entries=entries_with_subjects(list(range(12))), class_count=2, layout=fig16

@@ -581,14 +581,29 @@ def write_checkpoint(path, mode="mtln", nets=1, seed=5):
 NET_TENSORS = ("W1", "b1", "W2", "b2")
 
 
+MTLN_TENSORS = "mode mtln stores tensors W1 b1 W2 b2 feat_mean feat_scale, got "
+
+
+# explicit ids name the fault a row makes, where the message names the rule it breaks
 @pytest.mark.parametrize("edit, message", [
-    ((b"tensors W1 b1 W2 b2", b"tensors W1 b1 W2 xx"), "missing tensor b2"),
-    ((b"mode mtln", b"mode frame"), "mode frame needs 4 net"),
+    pytest.param((b"tensors W1 b1 W2 b2", b"tensors W1 b1 W2 xx"), MTLN_TENSORS + "W1 b1 W2 xx ",
+                 id="edit0-missing tensor b2"),
+    pytest.param((b"mode mtln", b"mode frame"), r"mode frame stores tensors frame0\.W1 .*, got W1 ",
+                 id="edit1-mode frame needs 4 net"),
     ((b"mode mtln", b"mode bogus"), "unknown mode 'bogus'"),
     ((b"\nmode mtln", b""), "unknown mode None"),
-    ((b"feat_mean feat_scale", b"feat_mean feat_scalf"), "unexpected tensor names"),
-    ((b"W2 b2 feat_mean", b"W2 b2 W2"), "unexpected tensor names"),
-    ((b"tensors W1 b1 W2 b2", b"tensors x0.W1 x0.b1 x0.W2 x0.b2"), "unexpected tensor names"),
+    pytest.param((b"feat_mean feat_scale", b"feat_mean feat_scalf"),
+                 MTLN_TENSORS + ".* feat_scalf$", id="edit4-unexpected tensor names"),
+    pytest.param((b"W2 b2 feat_mean", b"W2 b2 W2"), MTLN_TENSORS + "W1 b1 W2 b2 W2 feat_scale$",
+                 id="edit5-unexpected tensor names"),
+    pytest.param((b"tensors W1 b1 W2 b2", b"tensors x0.W1 x0.b1 x0.W2 x0.b2"),
+                 MTLN_TENSORS + "x0.W1 ", id="edit6-unexpected tensor names"),
+    ((b"\nd 5\n", b"\nd 999\n"), "header line 'd 999' does not match the stored nets' 'd 5'"),
+    ((b"\nh 3\n", b"\nh 4\n"), "header line 'h 4' does not match the stored nets' 'h 3'"),
+    ((b"\nn_classes 2\n", b"\nn_classes 3\n"), "header line 'n_classes 3' does not match"),
+    ((b"\nseed 0\n", b"\nseed zero\n"), "seed 'zero' is not an integer"),
+    ((b"\nseed 0\n", b"\nseed 0\nseed 0\n"), "header line 'seed 0' does not match"),
+    ((b"\nd 5\nh 3\n", b"\nh 3\nd 5\n"), "header line 'h 3' does not match the stored nets' 'd 5'"),
 ])
 def test_checkpoint_header_faults_name_the_file(tmp_path, edit, message):
     path = tmp_path / "model.sktf"
@@ -603,10 +618,12 @@ def test_checkpoint_header_faults_name_the_file(tmp_path, edit, message):
     ({"feat_mean": np.zeros((4, 5)), "feat_scale": [-2.0]}, "feat_scale finite and > 0"),
     ({"feat_mean": np.zeros((4, 5)), "feat_scale": [np.inf]}, "feat_scale finite and > 0"),
     ({"feat_mean": np.zeros((4, 5)), "feat_scale": [1.0, 1.0]}, "feat_scale finite and > 0"),
-    ({"feat_mean": np.zeros((4, 5))}, "feat_scale finite and > 0"),
+    pytest.param({"feat_mean": np.zeros((4, 5))}, MTLN_TENSORS + "W1 b1 W2 b2 feat_mean$",
+                 id="scaler4-feat_scale finite and > 0"),
     ({"feat_mean": np.full((4, 5), np.nan), "feat_scale": [1.0]}, "feat_mean must be finite"),
     ({"feat_mean": np.zeros((4, 6)), "feat_scale": [1.0]}, "do not fit the nets' d = 5"),
-    ({"feat_scale": [1.0]}, "do not fit the nets' d = 5"),
+    pytest.param({"feat_scale": [1.0]}, MTLN_TENSORS + "W1 b1 W2 b2 feat_scale$",
+                 id="scaler7-do not fit the nets' d = 5"),
 ])
 def test_checkpoint_scaler_faults_name_the_file(tmp_path, rng, scaler, message):
     path = tmp_path / "model.sktf"
@@ -621,7 +638,7 @@ def test_checkpoint_frame_net_lacking_a_tensor(tmp_path):
     path = tmp_path / "model.sktf"
     data = write_checkpoint(path, mode="frame", nets=4)
     path.write_bytes(data.replace(b"frame2.b1", b"frame2.c1", 1))
-    with pytest.raises(ParseError, match=r"missing tensor frame2\.b1"):
+    with pytest.raises(ParseError, match=r", got frame0\.W1 .* frame2\.W1 frame2\.c1 "):
         load_checkpoint(path)
 
 
@@ -630,8 +647,7 @@ def test_checkpoint_inconsistent_weights_rejected(tmp_path, rng):
     path.write_bytes(write_checkpoint(path))
     # swap the two bias tensors' names: b1 now has 2 entries for 3 hidden units
     path.write_bytes(path.read_bytes().replace(b"W1 b1 W2 b2", b"W1 b2 W2 b1", 1))
-    with pytest.raises(ParseError,
-                       match=r"expected a \(3,\) b1 parameter, got float64 \(2,\)") as info:
+    with pytest.raises(ParseError, match=MTLN_TENSORS + "W1 b2 W2 b1 ") as info:
         load_checkpoint(path)
     assert str(info.value).startswith(f"{path}: ")
     scaler = {"feat_mean": np.zeros((4, 5)), "feat_scale": [1.0]}
@@ -647,11 +663,52 @@ def test_checkpoint_inconsistent_weights_rejected(tmp_path, rng):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("edits, message", [
+    ([(b"frame%d." % i, b"concat%d." % i) for i in range(4)],
+     r"mode frame stores tensors frame0\.W1 .*, got concat0\.W1 "),
+    ([(b"frame0.", b"frameX."), (b"frame1.", b"frame0."), (b"frameX.", b"frame1.")],
+     r"mode frame stores tensors frame0\.W1 .*, got frame1\.W1 .* frame0\.W1 "),
+])
+def test_checkpoint_frame_nets_named_otherwise_rejected(tmp_path, edits, message):
+    path = tmp_path / "model.sktf"
+    data = write_checkpoint(path, mode="frame", nets=4)
+    for old, new in edits:
+        data = data.replace(old, new)
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=message) as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_checkpoint_with_bytes_after_the_last_tensor_rejected(tmp_path):
+    path = tmp_path / "model.sktf"
+    path.write_bytes(write_checkpoint(path) + b"\0")
+    with pytest.raises(ParseError, match="trailing bytes after the last tensor") as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("mode", ["mtln", "frame", "concat", "maxpool"])
+def test_checkpoint_header_is_what_save_checkpoint_writes(tmp_path, rng, mode):
+    d = 20 if mode == "concat" else 5
+    nets = [make_params(d, 3, 2, rng) for _ in range(4 if mode == "frame" else 1)]
+    path = tmp_path / "model.sktf"
+    save_checkpoint(path, ModeModel(mode, nets, FeatureScaler(np.zeros((4, 5)), 1.0)), seed=9)
+    prefixes = [f"frame{i}." for i in range(4)] if mode == "frame" else [""]
+    tensors = [p + t for p in prefixes for t in NET_TENSORS] + ["feat_mean", "feat_scale"]
+    want = (f"skelclip-model 1\nmode {mode}\nd {d}\nh 3\nn_classes 2\nseed 9\n"
+            f"tensors {' '.join(tensors)}\nend\n")
+    assert path.read_bytes().startswith(want.encode())
+    model, meta = load_checkpoint(path)
+    assert meta == {"mode": mode, "d": str(d), "h": "3", "n_classes": "2", "seed": "9"}
+
+
 @settings(max_examples=50, deadline=None)
 @given(mode=st.sampled_from(["mtln", "frame"]), data=st.data())
 def test_corrupt_checkpoint_loads_or_fails_cleanly(mode, data):
     # a valid checkpoint truncated at any offset, or with one byte
-    # overwritten, either loads or raises a SkelclipError
+    # overwritten, either loads or raises a SkelclipError; one that loads
+    # is exactly what save_checkpoint writes for the loaded model
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.sktf"
         blob = bytearray(write_checkpoint(path, mode, 4 if mode == "frame" else 1))
@@ -665,6 +722,8 @@ def test_corrupt_checkpoint_loads_or_fails_cleanly(mode, data):
             model, meta = load_checkpoint(path)
         except SkelclipError:
             return
+        save_checkpoint(path, model, int(meta["seed"]))
+        assert path.read_bytes() == blob
     assert len(model.nets) == (4 if meta["mode"] == "frame" else 1)
 
 
