@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 from pathlib import Path
 
@@ -121,11 +122,13 @@ def _cmd_extract(args) -> int:
 
 
 def _feature_files_for(feature_dir: Path, entry_path: str) -> list[Path]:
+    """``<stem>.feat.sktf``, else ``<stem>.b0.feat.sktf``, ``.b1``, ... up to the first gap."""
     stem = Path(entry_path).stem
     exact = feature_dir / f"{stem}.feat.sktf"
     if exact.exists():
         return [exact]
-    return sorted(feature_dir.glob(f"{stem}.b*.feat.sktf"))
+    bodies = (feature_dir / f"{stem}.b{i}.feat.sktf" for i in itertools.count())
+    return list(itertools.takewhile(Path.exists, bodies))
 
 
 def _read_features(path: Path, stage: str, width: int | None = None) -> np.ndarray:
@@ -138,11 +141,10 @@ def _read_features(path: Path, stage: str, width: int | None = None) -> np.ndarr
 
 
 def _cmd_train(args) -> int:
-    layout = load_layout(args.layout)
+    # train reads features, never sequences, so the manifest's layout goes unused
     with _stage("manifest", args.manifest):
-        manifest = parse_manifest(
-            Path(args.manifest).read_text(encoding="utf-8"), layout, class_count=args.classes
-        )
+        manifest = parse_manifest(Path(args.manifest).read_text(encoding="utf-8"),
+                                  load_layout("figure2-16"), class_count=args.classes)
     feature_dir = Path(args.features)
     xs, ys, stems = [], [], {}
     for entry in manifest.entries:
@@ -319,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a classifier on extracted features")
     p.add_argument("--features", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--layout", default="figure2-16")
     p.add_argument("--classes", type=int, default=None)
     p.add_argument("--mode", choices=MODES, default=TrainConfig.mode)
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)

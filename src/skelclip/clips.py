@@ -1,15 +1,13 @@
 """Skeleton sequence -> three clips of four gray frames.
 
-For each of the four reference joints, the positions of the remaining
-joints (in chain order) are taken relative to it, giving an (m-1) x t array
-of 3D vectors per reference joint. Vectors are expressed in cylindrical
-coordinates (radius, azimuth, height) by default, or left Cartesian for the
-ablation. Each coordinate channel of each array becomes a gray image with
-rows = time and columns = joints, linearly scaled to 0..255 and resized to
-S x S. Grouping the four images of one channel yields one clip; the three
-channels yield three clips, independent of the sequence length. A clip set
-is one (3 channels, 4 reference joints, S, S) uint8 array; gray frames are
-plain (H, W) uint8 arrays.
+One array pass takes the remaining joints (in chain order) relative to each
+of the four reference joints, giving four (m-1) x t arrays of 3D vectors, in
+cylindrical coordinates (radius, azimuth, height) by default or Cartesian
+for the ablation. Each coordinate channel of each array becomes a gray image
+with rows = time and columns = joints, linearly scaled to 0..255 and resized
+to S x S. The four images of one channel form a clip, so a clip set is one
+(3 channels, 4 reference joints, S, S) uint8 array whatever the sequence
+length; gray frames are plain (H, W) uint8 arrays.
 """
 
 from __future__ import annotations
@@ -70,17 +68,21 @@ class ClipOptions:
             raise ValueError("size must be >= 1")
 
 
-def relative_positions(seq: SkeletonSequence, ref: int) -> np.ndarray:
-    """(m-1, t, 3) positions of the non-reference joints relative to ``ref``.
-
-    Rows follow the layout's chain order with the reference joint removed.
-    """
+def _relative_to(seq: SkeletonSequence, refs: tuple[int, ...]) -> np.ndarray:
+    """``relative_positions`` for each joint of ``refs`` at once: (len(refs), m-1, t, 3)."""
     m = seq.layout.joint_count
-    if not 0 <= ref < m:
-        raise ValueError(f"reference joint {ref} not in layout (m={m})")
-    order = [j for j in seq.layout.chain_order if j != ref]
-    rel = seq.frames[:, order, :] - seq.frames[:, ref:ref + 1, :]
-    return rel.transpose(1, 0, 2)
+    for ref in refs:
+        if not 0 <= ref < m:
+            raise ValueError(f"reference joint {ref} not in layout (m={m})")
+    order = [[j for j in seq.layout.chain_order if j != ref] for ref in refs]
+    rel = seq.frames[:, order, :] - seq.frames[:, refs, None, :]
+    return rel.transpose(1, 2, 0, 3)
+
+
+def relative_positions(seq: SkeletonSequence, ref: int) -> np.ndarray:
+    """(m-1, t, 3) positions of the non-reference joints relative to ``ref``;
+    rows follow the layout's chain order with the reference joint removed."""
+    return _relative_to(seq, (ref,))[0]
 
 
 def cartesian_to_cylindrical(v: np.ndarray) -> np.ndarray:
@@ -178,31 +180,26 @@ def resize_bilinear(frame: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def generate_clips(seq: SkeletonSequence, options: ClipOptions = ClipOptions()) -> ClipSet:
-    """Encode a whole sequence as a ClipSet of 3 x 4 S x S gray frames."""
+    """Encode a whole sequence as a ClipSet of 3 x 4 S x S gray frames; a value
+    beyond float64's range raises a ValueError naming its channel and reference joint."""
     channels = CYLINDRICAL_CHANNELS if options.coords == "cylindrical" else CARTESIAN_CHANNELS
     refs = seq.layout.reference_joints
-
-    # arrays[r][c]: (t, m-1) image values for reference slot r, channel c
-    # (relative positions transposed so that rows = time, columns = joints)
-    arrays = []
-    for ref in refs:
-        rel = relative_positions(seq, ref)  # (m-1, t, 3)
+    with np.errstate(over="ignore"):
+        rel = _relative_to(seq, refs)  # (4, m-1, t, 3)
         if options.coords == "cylindrical":
             rel = cartesian_to_cylindrical(rel)
-        arrays.append([rel[:, :, c].T for c in range(3)])
+    # values[c, r]: (t, m-1) image of channel c for reference slot r
+    values = rel.transpose(3, 0, 2, 1)
+    if not np.isfinite(values).all():
+        c, r = np.argwhere(~np.isfinite(values))[0, :2]
+        raise ValueError(f"{channels[c]} relative to reference joint {refs[r]} overflows float64")
 
     size = options.size
     pixels = np.empty((3, 4, size, size), dtype=np.uint8)
     for c in range(3):
-        if options.scale_scope == "clip":
-            lo = min(arrays[r][c].min() for r in range(4))
-            hi = max(arrays[r][c].max() for r in range(4))
-            bounds = (lo, hi)
-        else:
-            bounds = None
+        bounds = (values[c].min(), values[c].max()) if options.scale_scope == "clip" else None
         for r in range(4):
-            gray = scale_to_gray(arrays[r][c], bounds=bounds)
-            pixels[c, r] = resize_bilinear(gray, size, size)
+            pixels[c, r] = resize_bilinear(scale_to_gray(values[c, r], bounds=bounds), size, size)
     return ClipSet(pixels=pixels, channels=channels)
 
 

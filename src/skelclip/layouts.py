@@ -23,7 +23,6 @@ class JointLayout:
     joint_count: int
     chain_order: tuple[int, ...]
     reference_joints: tuple[int, ...]
-    joint_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         m = self.joint_count
@@ -41,8 +40,6 @@ class JointLayout:
             )
         if any(r < 0 or r >= m for r in refs):
             raise ValueError(f"layout {self.name!r}: reference joint out of range: {refs}")
-        if self.joint_names is not None and len(self.joint_names) != m:
-            raise ValueError(f"layout {self.name!r}: joint_names must have {m} entries")
 
 
 # 16-joint demo skeleton: chain is simply 1..16 (0-based 0..15); references
@@ -54,17 +51,8 @@ FIGURE2_16 = JointLayout(
     reference_joints=(4, 7, 10, 13),
 )
 
-_NTU_JOINT_NAMES = (
-    "spine_base", "spine_mid", "neck", "head",
-    "shoulder_left", "elbow_left", "wrist_left", "hand_left",
-    "shoulder_right", "elbow_right", "wrist_right", "hand_right",
-    "hip_left", "knee_left", "ankle_left", "foot_left",
-    "hip_right", "knee_right", "ankle_right", "foot_right",
-    "spine_shoulder",
-    "hand_tip_left", "thumb_left", "hand_tip_right", "thumb_right",
-)
-
-# Chain: trunk head-to-base, left arm, right arm, left leg, right leg.
+# Chain: trunk head-to-base, left arm, right arm, left leg, right leg;
+# references: left shoulder 4, right shoulder 8, left hip 12, right hip 16.
 NTU_25 = JointLayout(
     name="ntu-25",
     joint_count=25,
@@ -74,28 +62,19 @@ NTU_25 = JointLayout(
                  12, 13, 14, 15,
                  16, 17, 18, 19),
     reference_joints=(4, 8, 12, 16),
-    joint_names=_NTU_JOINT_NAMES,
 )
 
+# Chain in joint order: head, neck, torso, arms, legs; references: left
+# shoulder 3, right shoulder 6, left hip 9, right hip 12.
 SBU_15 = JointLayout(
     name="sbu-15",
     joint_count=15,
-    chain_order=(0, 1, 2,
-                 3, 4, 5,
-                 6, 7, 8,
-                 9, 10, 11,
-                 12, 13, 14),
+    chain_order=tuple(range(15)),
     reference_joints=(3, 6, 9, 12),
-    joint_names=(
-        "head", "neck", "torso",
-        "shoulder_left", "elbow_left", "hand_left",
-        "shoulder_right", "elbow_right", "hand_right",
-        "hip_left", "knee_left", "foot_left",
-        "hip_right", "knee_right", "foot_right",
-    ),
 )
 
-# CMU mocap skeleton (asf order): trunk from head down, arms, then legs.
+# CMU mocap skeleton (asf order): trunk from head down, arms, then legs;
+# references: lhumerus 18, rhumerus 25, lhipjoint 1, rhipjoint 6.
 CMU_31 = JointLayout(
     name="cmu-31",
     joint_count=31,

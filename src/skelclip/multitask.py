@@ -433,7 +433,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModeModel, dict[str, str]]:
             if names != _tensor_names(mode):
                 raise ParseError(f"mode {mode} stores tensors {' '.join(_tensor_names(mode))}, "
                                  f"got {' '.join(names) or 'none'}")
-            *weights, mean, scale = (read_tensor(fh).astype(np.float64) for _ in names)
+            with np.errstate(invalid="ignore"):  # a signalling NaN is MtlnParams' to name
+                *weights, mean, scale = (read_tensor(fh).astype(np.float64) for _ in names)
             if fh.read(1):
                 raise ParseError("trailing bytes after the last tensor")
 

@@ -28,7 +28,7 @@ from skelclip import (
     write_canonical,
     write_tensor,
 )
-from skelclip.cli import _EVAL_KEYS, build_parser, main, pipeline_from_config
+from skelclip.cli import _EVAL_KEYS, _feature_files_for, build_parser, main, pipeline_from_config
 from skelclip.config import ConfigFile
 from skelclip.experiments import PipelineConfig
 from skelclip.features import ExtractorSpec
@@ -767,3 +767,93 @@ def test_gen_clips_rejects_a_value_range_too_wide_to_scale(tmp_path):
     assert err.getvalue().endswith("] is too wide to scale to gray\n")
     assert caught == []
     assert list((tmp_path / "clips").iterdir()) == []
+
+
+@pytest.mark.parametrize("place, message", [
+    # the subtraction overflows: -1e308 - 1e308
+    ({(4, 2): 1e308, (5, 2): -1e308}, "height relative to reference joint 4 overflows float64"),
+    # the vector is finite, its radius hypot(1.5e308, 1.5e308) is not
+    ({(5, 0): 1.5e308, (5, 1): 1.5e308}, "radius relative to reference joint 4 overflows float64"),
+])
+def test_gen_clips_names_the_channel_and_joint_that_overflow(tmp_path, place, message):
+    frames = np.zeros((3, 16, 3))
+    for (joint, axis), value in place.items():
+        frames[:, joint, axis] = value
+    src = tmp_path / "far.json"
+    src.write_text(write_canonical(SkeletonSequence(load_layout("figure2-16"), frames, label=0)))
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = run_cli("gen-clips", "--input", src, "--layout", "figure2-16", "--size", 16,
+                       "--out", tmp_path / "clips")
+    assert code == 1
+    assert err.getvalue() == f"skelclip: [clips] {src} body 0: {message}\n"
+    assert caught == []
+    assert list((tmp_path / "clips").iterdir()) == []
+
+
+def _write_features(feats, *stems):
+    feats.mkdir(exist_ok=True)
+    for i, stem in enumerate(stems):
+        write_tensor(feats / f"{stem}.feat.sktf", np.full((4, 6), i, dtype=np.float32))
+
+
+def _train_on(tmp_path, feats, manifest_text):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(manifest_text)
+    return run_cli("train", "--features", feats, "--manifest", manifest, "--epochs", 1,
+                   "--hidden", 4, "--out", tmp_path / "model.sktf")
+
+
+def test_train_does_not_take_another_entrys_file_as_a_body(tmp_path, capsys):
+    # a.bx.feat.sktf belongs to entry a.bx.json, not to a body of entry a.json
+    feats = tmp_path / "feats"
+    _write_features(feats, "a.b0", "a.b1", "a.bx")
+    assert _train_on(tmp_path, feats, "a.json 0 - -\na.bx.json 1 - -\n") == 0
+    assert " on 3 samples;" in capsys.readouterr().out
+
+
+def test_train_finds_the_bodies_of_a_stem_with_glob_characters(tmp_path, capsys):
+    feats = tmp_path / "feats"
+    _write_features(feats, "c[1].b0", "c[1].b1", "d")
+    assert _train_on(tmp_path, feats, "c[1].json 0 - -\nd.json 1 - -\n") == 0
+    assert " on 3 samples;" in capsys.readouterr().out
+
+
+def test_train_reads_bodies_in_body_order(tmp_path):
+    feats = tmp_path / "feats"
+    _write_features(feats, *(f"r.b{i}" for i in range(11)), "r.b12")
+    # b12 follows a gap: gen-clips never writes one, so it is not a body of r
+    assert _feature_files_for(feats, "data/r.json") == [
+        feats / f"r.b{i}.feat.sktf" for i in range(11)]
+
+
+def _ntu_text(bodies: int, seed: int) -> str:
+    """Two frames of ``bodies`` 25-joint bodies in NTU .skeleton text."""
+    rng = np.random.default_rng(seed)
+    lines = ["2"]
+    for _ in range(2):
+        lines.append(str(bodies))
+        for b in range(bodies):
+            lines += [f"{100 + b} 0 1 0 0 0 -0.2 0.1 0 2", "25"]
+            lines += [" ".join(f"{v:.4f}" for v in rng.uniform(-1, 1, 3)) + " 0 0 2"
+                      for _ in range(25)]
+    return "\n".join(lines) + "\n"
+
+
+def test_two_body_recording_trains_on_both_bodies(tmp_path, capsys):
+    data, clips, feats = tmp_path / "data", tmp_path / "clips", tmp_path / "feats"
+    data.mkdir()
+    (data / "a.skeleton").write_text(_ntu_text(1, seed=0))
+    (data / "ab.skeleton").write_text(_ntu_text(2, seed=1))
+    for name in ("a", "ab"):
+        assert run_cli("gen-clips", "--input", data / f"{name}.skeleton", "--layout", "ntu-25",
+                       "--size", 32, "--out", clips) == 0
+    assert sorted(p.name for p in clips.iterdir()) == [
+        "a.clips.sktf", "ab.b0.clips.sktf", "ab.b1.clips.sktf"]
+    assert run_cli("extract", "--clips", clips, "--channels", 4, "--out", feats) == 0
+    body0, body1 = (read_tensor(feats / f"ab.b{b}.feat.sktf") for b in (0, 1))
+    assert not np.array_equal(body0, body1)
+    capsys.readouterr()
+    assert _train_on(tmp_path, feats, "a.skeleton 0 - -\nab.skeleton 1 - -\n") == 0
+    assert " on 3 samples;" in capsys.readouterr().out

@@ -19,7 +19,7 @@ from skelclip import (
     scale_to_gray,
     write_pgm,
 )
-from skelclip.clips import AUGMENT_SIZE, CROP_SIZE
+from skelclip.clips import AUGMENT_SIZE, CROP_SIZE, _relative_to
 
 from conftest import random_sequence
 
@@ -396,6 +396,91 @@ def test_clipset_holds_one_uint8_array(fig16, rng):
     assert cs.pixels.dtype == np.uint8
     assert cs.size == (16, 16)
     assert cs.as_array() is cs.pixels
+
+
+def _per_reference_rel(seq, ref):
+    """One reference joint's (m-1, t, 3) relative positions, computed apart
+    from the batched pass."""
+    order = [j for j in seq.layout.chain_order if j != ref]
+    return (seq.frames[:, order, :] - seq.frames[:, ref:ref + 1, :]).transpose(1, 0, 2)
+
+
+def per_reference_clips(seq, options):
+    """The per-reference-joint loop generate_clips replaced: relative positions,
+    cylindrical coordinates and a (t, m-1) image per reference joint and channel."""
+    arrays = []
+    for ref in seq.layout.reference_joints:
+        rel = _per_reference_rel(seq, ref)
+        if options.coords == "cylindrical":
+            rel = cartesian_to_cylindrical(rel)
+        arrays.append([rel[:, :, c].T for c in range(3)])
+    pixels = np.empty((3, 4, options.size, options.size), dtype=np.uint8)
+    for c in range(3):
+        bounds = None
+        if options.scale_scope == "clip":
+            bounds = (min(a[c].min() for a in arrays), max(a[c].max() for a in arrays))
+        for r in range(4):
+            gray = scale_to_gray(arrays[r][c], bounds=bounds)
+            pixels[c, r] = resize_bilinear(gray, options.size, options.size)
+    return pixels
+
+
+def edge_case_sequence(layout, t, seed):
+    """Random joints plus vectors of zero radius (a joint on a reference
+    joint's vertical axis, or on the joint itself) and vectors (-1, -0.0, z),
+    whose azimuth -pi maps to pi."""
+    rng = np.random.default_rng(seed)
+    frames = rng.normal(size=(t, layout.joint_count, 3)) * rng.uniform(0.01, 100)
+    refs = layout.reference_joints
+    others = [j for j in layout.chain_order if j not in refs]
+    frames[:, others[0], :2] = frames[:, refs[0], :2]
+    frames[: (t + 1) // 2, others[1]] = frames[: (t + 1) // 2, refs[1]]
+    frames[:, others[2], 0] = frames[:, refs[2], 0] - 1.0
+    frames[:, others[2], 1], frames[:, refs[2], 1] = -0.0, 0.0
+    return SkeletonSequence(layout=layout, frames=frames)
+
+
+@pytest.mark.parametrize("name", ["figure2-16", "ntu-25", "sbu-15", "cmu-31"])
+@pytest.mark.parametrize("t", [1, 2, 17, 150])
+def test_generate_clips_matches_per_reference_loop_bytes(name, t):
+    layout = load_layout(name)
+    seq = edge_case_sequence(layout, t, seed=t * 100 + layout.joint_count)
+    for coords in ("cylindrical", "cartesian"):
+        for scope in ("frame", "clip"):
+            for size in (1, 15, 224):
+                options = ClipOptions(coords=coords, scale_scope=scope, size=size)
+                got = generate_clips(seq, options).as_array()
+                assert got.tobytes() == per_reference_clips(seq, options).tobytes(), options
+
+
+@pytest.mark.parametrize("name", ["figure2-16", "ntu-25", "sbu-15", "cmu-31"])
+def test_relative_positions_is_a_slice_of_the_batched_pass(name):
+    layout = load_layout(name)
+    seq = edge_case_sequence(layout, 9, seed=layout.joint_count)
+    batched = _relative_to(seq, layout.reference_joints)
+    assert batched.shape == (4, layout.joint_count - 1, 9, 3)
+    for r, ref in enumerate(layout.reference_joints):
+        assert np.array_equal(relative_positions(seq, ref), batched[r])
+        assert np.array_equal(relative_positions(seq, ref), _per_reference_rel(seq, ref))
+
+
+@pytest.mark.parametrize("place, coords, message", [
+    # the subtraction overflows: -1e308 - 1e308
+    ({(4, 2): 1e308, (5, 2): -1e308}, "cylindrical", "height relative to reference joint 4"),
+    ({(4, 2): 1e308, (5, 2): -1e308}, "cartesian", "z relative to reference joint 4"),
+    # the vector is finite, its radius hypot(1.5e308, 1.5e308) is not
+    ({(5, 0): 1.5e308, (5, 1): 1.5e308}, "cylindrical", "radius relative to reference joint 4"),
+])
+def test_overflow_names_channel_and_reference_joint(fig16, place, coords, message):
+    frames = np.zeros((3, 16, 3))
+    for (joint, axis), value in place.items():
+        frames[:, joint, axis] = value
+    seq = SkeletonSequence(layout=fig16, frames=frames)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            generate_clips(seq, ClipOptions(coords=coords, size=8))
+    assert str(info.value) == f"{message} overflows float64"
 
 
 @pytest.mark.parametrize("shape, dtype", [

@@ -1,5 +1,7 @@
+import struct
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -686,6 +688,21 @@ def test_checkpoint_with_bytes_after_the_last_tensor_rejected(tmp_path):
     with pytest.raises(ParseError, match="trailing bytes after the last tensor") as info:
         load_checkpoint(path)
     assert str(info.value).startswith(f"{path}: ")
+
+
+def test_checkpoint_signalling_nan_fails_without_a_warning(tmp_path):
+    # widening a float32 signalling NaN to float64 raises numpy's "invalid
+    # value encountered in cast"; the loader must name the tensor instead
+    path = tmp_path / "model.sktf"
+    data = bytearray(write_checkpoint(path))
+    w1 = data.index(b"\nend\n") + 5 + 4 + 3 + 2 * 4  # magic, version/dtype/rank, two dims
+    data[w1:w1 + 4] = struct.pack("<I", 0x7F800001)
+    path.write_bytes(bytes(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="W1 parameter contains non-finite values") as info:
+            load_checkpoint(path)
+    assert str(info.value) == f"{path}: W1 parameter contains non-finite values"
 
 
 @pytest.mark.parametrize("mode", ["mtln", "frame", "concat", "maxpool"])
