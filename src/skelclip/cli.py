@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import re
 import sys
 from pathlib import Path
 
@@ -145,13 +146,18 @@ def _cmd_train(args) -> int:
     with _stage("manifest", args.manifest):
         manifest = parse_manifest(Path(args.manifest).read_text(encoding="utf-8"),
                                   load_layout("figure2-16"), class_count=args.classes)
-    feature_dir = Path(args.features)
-    xs, ys, stems = [], [], {}
+    stems = {}
     for entry in manifest.entries:
         other = stems.setdefault(Path(entry.path).stem, entry.path)
         if other != entry.path:
             raise StageError("train", f"manifest entries {other} and {entry.path} share a stem")
-        files = _feature_files_for(feature_dir, entry.path)
+    for stem, path in stems.items():  # a stem <s>.b<i> names a body file of entry <s>
+        body = re.fullmatch(r"(.*)\.b(0|[1-9][0-9]*)", stem)
+        if body and body[1] in stems:
+            raise StageError("train", f"manifest entry {path} is a body of entry {stems[body[1]]}")
+    xs, ys = [], []
+    for entry in manifest.entries:
+        files = _feature_files_for(Path(args.features), entry.path)
         if not files:
             raise StageError("train", f"no feature file for manifest entry {entry.path}")
         for path in files:

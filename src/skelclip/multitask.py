@@ -80,8 +80,8 @@ class TrainConfig:
     hidden: int = DEFAULT_HIDDEN
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be > 0 and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
@@ -337,9 +337,13 @@ def predict_multi_sample(
 
 
 def mode_probas(mode: str, nets: Sequence[MtlnParams], x: np.ndarray) -> list[np.ndarray]:
-    """Each net's (N, n_classes) probabilities of (N, 4, d) features."""
-    return [predict_proba(net, inputs)
-            for net, inputs in zip(nets, mode_inputs(mode, x), strict=True)]
+    """Each net's (N, n_classes) probabilities of (N, 4, d) features, checked finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is named below
+        probas = [predict_proba(net, inputs)
+                  for net, inputs in zip(nets, mode_inputs(mode, x), strict=True)]
+    if not np.isfinite(probas).all():
+        raise TrainingDivergedError(f"{mode} class probabilities are not finite")
+    return probas
 
 
 @dataclass(frozen=True)
@@ -402,13 +406,18 @@ def _header(model: ModeModel, seed: int) -> str:
 def save_checkpoint(path: str | Path, model: ModeModel, seed: int) -> None:
     """Write ``_header(model, seed)``, then the tensors ``_tensor_names``
     lists: the nets' weights in net order, then the scaler as ``feat_mean``
-    (4, d) and ``feat_scale`` (1,)."""
+    (4, d) and ``feat_scale`` (1,). A tensor that is not finite as float32
+    raises a ValueError naming it, and no file is written."""
     tensors = [getattr(net, t) for net in model.nets for t in _NET_TENSORS]
     tensors += [np.asarray(model.scaler.mean), np.array([model.scaler.scale])]
+    with np.errstate(over="ignore"):  # an overflow to infinity is named below
+        tensors = [arr.astype(np.float32) for arr in tensors]
+    for name, arr in zip(_tensor_names(model.mode), tensors, strict=True):
+        check_array(arr, arr.shape, f"{name} tensor as float32", finite=True)
     with open(path, "wb") as fh:
         fh.write(_header(model, seed).encode("ascii"))
         for arr in tensors:
-            write_tensor(fh, arr.astype(np.float32))
+            write_tensor(fh, arr)
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModeModel, dict[str, str]]:

@@ -102,9 +102,9 @@ def parse_ntu_skeleton(text: str, layout: JointLayout) -> list[SkeletonSequence]
     ``1_0`` and non-ASCII digits are rejected. Blank lines and extra fields
     are ignored. A frame where a body is absent is dropped from its sequence.
 
-    Python walks only the count and metadata lines; each body's joint lines
-    go through one ``np.loadtxt`` call (the doubles ``float()`` gives) and one
-    ``np.isfinite`` check. An error names the first faulty line in the file.
+    Python walks only the count and metadata lines; all joint lines, body by
+    body, go through one ``np.loadtxt`` call (the doubles ``float()`` gives)
+    and one ``np.isfinite`` check. An error names the first faulty line in the file.
     """
     raw = text.splitlines()
     lines = list(filter(str.strip, raw))
@@ -152,30 +152,23 @@ def parse_ntu_skeleton(text: str, layout: JointLayout) -> list[SkeletonSequence]
     except IndexError:
         structure_fault = ParseError("unexpected end of file", line=last_line)
 
-    bodies, joint_faults = [], []
-    for starts in blocks.values():
-        body = [joint for s in starts for joint in lines[s:s + m]]
-        if not body:  # the file ends right after this body's joint-count line
-            continue
-        try:
-            xyz = np.loadtxt(body, usecols=(0, 1, 2), comments=None, ndmin=2)
-        except ValueError:
-            xyz = None
-        if xyz is not None and np.isfinite(xyz).all():
-            bodies.append(xyz)
-        else:
-            r, why = next((r, why) for r, joint in enumerate(body) if (why := _joint_fault(joint)))
-            joint_faults.append((starts[r // m] + r % m, why))
-    if joint_faults:
-        k, why = min(joint_faults)
+    joints = [joint for body in blocks.values() for s in body for joint in lines[s:s + m]]
+    try:  # loadtxt warns on no lines; a file without joint lines fails the checks below
+        xyz = np.loadtxt(joints, usecols=(0, 1, 2), comments=None, ndmin=2) if joints else None
+    except ValueError:
+        xyz = np.array(np.nan)  # a line loadtxt rejects: the scan below names it
+    if xyz is not None and not np.isfinite(xyz).all():
+        k, why = next((k, why) for s in sorted(s for body in blocks.values() for s in body)
+                      for k, joint in enumerate(lines[s:s + m], s) if (why := _joint_fault(joint)))
         raise ParseError(why, line=numbers[k])
     if structure_fault is not None:
         raise structure_fault
     if pos < len(lines):
         raise ParseError("trailing content after final frame", line=numbers[pos])
-    if not bodies:
+    if not blocks:
         raise ParseError("no bodies found in any frame")
-    return [SkeletonSequence(layout=layout, frames=xyz.reshape(-1, m, 3)) for xyz in bodies]
+    cuts = np.cumsum([len(body) * m for body in blocks.values()])[:-1]
+    return [SkeletonSequence(layout, part.reshape(-1, m, 3)) for part in np.split(xyz, cuts)]
 
 
 # ---------------------------------------------------------------------------

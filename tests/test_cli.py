@@ -857,3 +857,81 @@ def test_two_body_recording_trains_on_both_bodies(tmp_path, capsys):
     capsys.readouterr()
     assert _train_on(tmp_path, feats, "a.skeleton 0 - -\nab.skeleton 1 - -\n") == 0
     assert " on 3 samples;" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("manifest", ["a.json 0 - -\na.b0.json 1 - -\n",
+                                      "a.b0.json 1 - -\na.json 0 - -\n"], ids=["a", "a.b0"])
+def test_train_refuses_an_entry_whose_stem_names_another_entrys_body(tmp_path, capsys,
+                                                                      manifest):
+    # a.b0.feat.sktf is entry a.b0.json's file, but train would also read it as a's body 0
+    feats = tmp_path / "feats"
+    _write_features(feats, "a.b0")
+    assert _train_on(tmp_path, feats, manifest) == 1
+    assert capsys.readouterr().err == (
+        "skelclip: [train] manifest entry a.b0.json is a body of entry a.json\n")
+    assert not (tmp_path / "model.sktf").exists()
+
+
+def test_train_accepts_a_stem_that_is_no_body_file_name(tmp_path, capsys):
+    # the body files of a are a.b0, a.b1, ...: never a.b01
+    feats = tmp_path / "feats"
+    _write_features(feats, "a", "a.b01")
+    assert _train_on(tmp_path, feats, "a.json 0 - -\na.b01.json 1 - -\n") == 0
+    assert " on 2 samples;" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def toy_features(tmp_path_factory):
+    """2 classes x 3 synthetic recordings, 16-pixel clips, 2-channel features."""
+    root = tmp_path_factory.mktemp("toy")
+    data, clips, feats = root / "data", root / "clips", root / "feats"
+    assert run_cli("synth", "--out", data, "--classes", 2, "--per-class", 3,
+                   "--t-min", 6, "--t-max", 8, "--seed", 1) == 0
+    for src in sorted(data.glob("*.json")):
+        assert run_cli("gen-clips", "--input", src, "--layout", "figure2-16", "--size", 16,
+                       "--out", clips) == 0
+    assert run_cli("extract", "--clips", clips, "--channels", 2, "--out", feats) == 0
+    return data, feats
+
+
+def run_cli_quietly(*argv):
+    """The exit code, stderr and any warnings of one in-process CLI run."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = run_cli(*argv)
+    return code, err.getvalue(), [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("lr, message", [
+    ("nan", "learning_rate must be > 0 and finite"),
+    ("inf", "learning_rate must be > 0 and finite"),
+    # training stays finite in float64, but W1 overflows float32
+    ("1e300", "W1 tensor as float32 contains non-finite values"),
+])
+def test_train_with_a_learning_rate_that_gives_no_usable_model_fails(toy_features, tmp_path,
+                                                                     lr, message):
+    data, feats = toy_features
+    model = tmp_path / "model.sktf"
+    assert run_cli_quietly("train", "--features", feats, "--manifest", data / "manifest.txt",
+                           "--hidden", 4, "--epochs", 1, "--lr", lr, "--out", model) == (
+        1, f"skelclip: [train] {message}\n", [])
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("lr, message", [
+    ("nan", "{cfg}: learning_rate must be > 0 and finite"),
+    # the trained weights overflow the forward pass at evaluation
+    ("1e308", "[evaluate] mtln class probabilities are not finite"),
+])
+def test_eval_with_a_learning_rate_that_gives_no_usable_model_fails(toy_features, tmp_path,
+                                                                    lr, message):
+    data, _ = toy_features
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("protocol = k-fold\nfolds = 2\nsize = 16\nchannels = 2\nhidden = 4\n"
+                   f"epochs = 1\nlr = {lr}\n")
+    out = tmp_path / "run"
+    assert run_cli_quietly("eval", "--config", cfg, "--data", data, "--out", out) == (
+        1, f"skelclip: {message.format(cfg=cfg)}\n", [])
+    assert not out.exists()

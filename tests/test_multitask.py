@@ -29,7 +29,7 @@ from skelclip import (
     total_loss,
     train,
 )
-from skelclip.experiments import train_mode
+from skelclip.experiments import evaluate_mode, train_mode
 from skelclip.multitask import W1_BLOCK_BYTES, init_params, softmax
 
 from conftest import write_raw_checkpoint
@@ -409,6 +409,12 @@ def test_train_config_validation():
         TrainConfig(mode="nope")
 
 
+@pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf, -1.0])
+def test_train_config_requires_a_finite_positive_learning_rate(lr):
+    with pytest.raises(ValueError, match="^learning_rate must be > 0 and finite$"):
+        TrainConfig(learning_rate=lr)
+
+
 # ---------------------------------------------------------------------------
 # prediction
 
@@ -705,6 +711,27 @@ def test_checkpoint_signalling_nan_fails_without_a_warning(tmp_path):
     assert str(info.value) == f"{path}: W1 parameter contains non-finite values"
 
 
+@pytest.mark.parametrize("mode, name", [
+    ("frame", "frame2.W1"), ("mtln", "b2"), ("mtln", "feat_mean"), ("mtln", "feat_scale")])
+def test_save_checkpoint_names_a_tensor_that_overflows_float32(tmp_path, rng, mode, name):
+    nets = [make_params(5, 3, 2, rng) for _ in range(4 if mode == "frame" else 1)]
+    mean, scale = np.zeros((4, 5)), 1.0
+    if name == "feat_scale":
+        scale = 1e300
+    elif name == "feat_mean":
+        mean[1, 2] = -1e300
+    else:
+        net, _, tensor = name.rpartition(".")
+        getattr(nets[int(net[-1]) if net else 0], tensor)[-1] = 1e300
+    path = tmp_path / "model.sktf"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            save_checkpoint(path, ModeModel(mode, nets, FeatureScaler(mean, scale)), seed=0)
+    assert str(info.value) == f"{name} tensor as float32 contains non-finite values"
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("mode", ["mtln", "frame", "concat", "maxpool"])
 def test_checkpoint_header_is_what_save_checkpoint_writes(tmp_path, rng, mode):
     d = 20 if mode == "concat" else 5
@@ -753,3 +780,19 @@ def test_mode_model_proba_averages_its_nets_on_scaled_features(mode, rng):
     want = np.mean([predict_proba(net, inputs)
                     for net, inputs in zip(nets, mode_inputs(mode, scaler.apply(x)))], axis=0)
     assert np.array_equal(ModeModel(mode, nets, scaler).proba(x), want)
+
+
+@pytest.mark.parametrize("mode", ["mtln", "frame"])
+def test_probabilities_a_net_overflows_raise_without_a_warning(mode, rng):
+    # finite weights whose logits overflow float64: softmax would give NaN
+    nets = [make_params(5, 3, 2, rng) for _ in range(4 if mode == "frame" else 1)]
+    nets[-1].W2[:] = [[1e308, -1e308]] * 3
+    model = ModeModel(mode, nets, FeatureScaler(np.zeros((4, 5)), 1.0))
+    x = rng.standard_normal((6, 4, 5)) * 10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDivergedError,
+                           match=f"^{mode} class probabilities are not finite$"):
+            model.proba(x)
+        with pytest.raises(TrainingDivergedError):
+            evaluate_mode(mode, nets, [(0, list(x[:3])), (1, list(x[3:]))], 2)

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -426,6 +427,93 @@ def test_ntu_coordinates_are_c_style_decimal_floats(field):
     with pytest.raises(ParseError) as info:
         parse_ntu_skeleton(text, load_layout("ntu-25"))
     assert str(info.value) == f"line 29: non-numeric coordinate in ['0', '{field}', '0']"
+
+
+@pytest.mark.parametrize("bodies", [1, 2, 3])
+def test_ntu_parses_all_joint_lines_in_one_loadtxt_call(monkeypatch, bodies):
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counting_loadtxt(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    rng = np.random.default_rng(bodies)
+    frames = [[rng.uniform(-2, 2, (25, 3)) if f % (b + 1) == 0 else None for f in range(4)]
+              for b in range(bodies)]  # body b is present in every (b + 1)-th frame
+    seqs = parse_ntu_skeleton(ntu_text(frames, body_ids=("100", "200", "300")),
+                              load_layout("ntu-25"))
+    assert [seq.frame_count for seq in seqs] == [4, 2, 2][:bodies]
+    assert len(calls) == 1
+    assert len(calls[0][0]) == 25 * sum(seq.frame_count for seq in seqs)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2\n0\n0\n", "no bodies found in any frame"),
+    ("1\n1\n100 0\n25\n", "line 4: unexpected end of file"),
+])
+def test_ntu_file_without_joint_lines_fails_without_a_warning(text, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns on an empty list of lines
+        with pytest.raises(ParseError) as info:
+            parse_ntu_skeleton(text, load_layout("ntu-25"))
+    assert str(info.value) == message
+
+
+TINY_LAYOUT = JointLayout(name="tiny-6", joint_count=6, chain_order=(0, 1, 2, 3, 4, 5),
+                          reference_joints=(1, 2, 3, 4))
+
+
+@st.composite
+def faulty_ntu_documents(draw):
+    """A 1-3 body document in ``TINY_LAYOUT`` with blank lines, 3- and
+    12-field joint lines and bodies absent from some frames, one or two of
+    its joint lines made faulty, and maybe cut short. Returns the text and
+    the error a parser that reads the file in order reports first."""
+    bodies, t = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    lines, joint_lines = [str(t)], []
+    for f in range(t):
+        present = [b for b in range(bodies) if (f, b) == (0, 0) or draw(st.booleans())]
+        lines.append(str(len(present)))
+        for b in present:
+            lines += [f"{100 + b} 0 1 0 0 0 -0.2 0.1 0 2", "6"]
+            for k in range(6):
+                joint_lines.append(len(lines))
+                tail = " 0.1 0.2 0.3 0 0 0 0 0 2" if draw(st.booleans()) else ""
+                lines.append(f"{k / 8} {f} -{b / 64}{tail}")
+    for at in sorted(draw(st.lists(st.integers(1, len(lines)), max_size=4)), reverse=True):
+        lines.insert(at, draw(st.sampled_from(["", "  ", "\t"])))
+        joint_lines = [i + (i >= at) for i in joint_lines]
+    faults = {}
+    for i in draw(st.lists(st.sampled_from(joint_lines), min_size=1, max_size=2, unique=True)):
+        fields = lines[i].split()
+        kind = draw(st.sampled_from(["fields", "text", "nan"]))
+        if kind == "fields":
+            lines[i] = " ".join(fields[:2])
+            faults[i + 1] = "joint line has 2 fields, need at least 3"
+        else:
+            fields[1] = "oops" if kind == "text" else "nan"
+            lines[i] = " ".join(fields)
+            faults[i + 1] = (f"non-numeric coordinate in {fields[:3]}" if kind == "text"
+                             else "non-finite coordinate")
+    if draw(st.booleans()):  # drop at least the last joint line
+        lines = lines[:draw(st.integers(1, joint_lines[-1]))]
+    kept = [line for line in faults if line <= len(lines)]
+    if kept:
+        expected = f"line {min(kept)}: {faults[min(kept)]}"
+    else:
+        expected = f"line {len(lines)}: unexpected end of file"
+    return "\n".join(lines) + "\n", expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(faulty_ntu_documents())
+def test_ntu_reports_the_first_fault_in_file_order(case):
+    text, expected = case
+    with pytest.raises(ParseError) as info:
+        parse_ntu_skeleton(text, TINY_LAYOUT)
+    assert str(info.value) == expected
 
 
 # ---------------------------------------------------------------------------
