@@ -12,6 +12,7 @@ import functools
 import itertools
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -220,30 +221,36 @@ def _protocol_from_config(cfg: ConfigFile) -> tuple[SplitProtocol, int]:
 
 
 def pipeline_from_config(cfg: ConfigFile) -> PipelineConfig:
-    """The config's pipeline; an absent key keeps ``PipelineConfig()``'s value."""
+    """The config's pipeline; an absent key keeps ``PipelineConfig()``'s value. Each
+    value is checked by the dataclass that owns it, so a rejected value names its key."""
     base = PipelineConfig()
     clip, ext, train = base.clip_options, base.extractor, base.train
+
+    def get(owner, field: str, key: str, convert):
+        return cfg.get(key, lambda v: getattr(replace(owner, **{field: convert(v)}), field),
+                       getattr(owner, field))
+
     return PipelineConfig(
         clip_options=ClipOptions(
-            coords=cfg.get("coords", str, clip.coords),
-            scale_scope=cfg.get("scale", str, clip.scale_scope),
-            size=cfg.get("size", int, clip.size),
+            coords=get(clip, "coords", "coords", str),
+            scale_scope=get(clip, "scale_scope", "scale", str),
+            size=get(clip, "size", "size", int),
         ),
         extractor=ExtractorSpec(
-            channels=cfg.get("channels", int, ext.channels),
-            seed=cfg.get("extractor_seed", int, ext.seed),
+            channels=get(ext, "channels", "channels", int),
+            seed=get(ext, "seed", "extractor_seed", int),
         ),
         train=TrainConfig(
-            learning_rate=cfg.get("lr", float, train.learning_rate),
-            batch_size=cfg.get("batch", int, train.batch_size),
-            epochs=cfg.get("epochs", int, train.epochs),
-            seed=cfg.get("train_seed", int, train.seed),
-            hidden=cfg.get("hidden", int, train.hidden),
+            learning_rate=get(train, "learning_rate", "lr", float),
+            batch_size=get(train, "batch_size", "batch", int),
+            epochs=get(train, "epochs", "epochs", int),
+            seed=get(train, "seed", "train_seed", int),
+            hidden=get(train, "hidden", "hidden", int),
         ),
-        augment_count=cfg.get("augment", int, base.augment_count),
-        augment_seed=cfg.get("augment_seed", int, base.augment_seed),
-        standardize=cfg.get("standardize", parse_bool, base.standardize),
-        test_average_crops=cfg.get("test_average_crops", parse_bool, base.test_average_crops),
+        augment_count=get(base, "augment_count", "augment", int),
+        augment_seed=get(base, "augment_seed", "augment_seed", int),
+        standardize=get(base, "standardize", "standardize", parse_bool),
+        test_average_crops=get(base, "test_average_crops", "test_average_crops", parse_bool),
     )
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -221,26 +221,31 @@ def compute_features(
 # Mode training and evaluation
 
 
-def train_mode(
-    mode: str,
-    train_x: np.ndarray,
-    train_y: np.ndarray,
-    cfg: TrainConfig,
-    n_classes: int,
-) -> tuple[list[MtlnParams], list[list[float]]]:
-    """Train the nets a mode needs (four for ``frame``, one otherwise)."""
-    models, curves = [], []
-    for i, inputs in enumerate(mode_inputs(mode, train_x)):
-        net_cfg = replace(cfg, mode=mode, seed=cfg.seed + i)
-        params, curve = train(inputs, net_cfg, n_classes, labels=train_y)
-        models.append(params)
-        curves.append(curve)
-    return models, curves
+def train_nets(mode: str, train_x: np.ndarray, train_y: np.ndarray, cfg: TrainConfig,
+               n_classes: int, curves: list[list[float]]) -> Iterator[MtlnParams]:
+    """Train the nets a mode needs (four for ``frame``, one otherwise) one at
+    a time, in net order, appending each net's loss curve to ``curves``.
+    Each net is yielded as soon as it is trained and not held afterwards, so
+    a caller that drops it frees it before the next one trains."""
+    with _stage("train"):
+        for i, inputs in enumerate(mode_inputs(mode, train_x)):
+            net, curve = train(inputs, replace(cfg, mode=mode, seed=cfg.seed + i), n_classes,
+                               labels=train_y)
+            curves.append(curve)
+            yield net
+            del net  # the next net trains without this one
+
+
+def train_mode(mode: str, train_x: np.ndarray, train_y: np.ndarray, cfg: TrainConfig,
+               n_classes: int) -> tuple[list[MtlnParams], list[list[float]]]:
+    """``train_nets``' nets, all held at once, and their loss curves."""
+    curves: list[list[float]] = []
+    return list(train_nets(mode, train_x, train_y, cfg, n_classes, curves)), curves
 
 
 def evaluate_mode(
     mode: str,
-    models: list[MtlnParams],
+    nets: Iterable[MtlnParams],
     test_groups: list[tuple[int, list[np.ndarray]]],
     n_classes: int,
 ) -> tuple[float, list[np.ndarray]]:
@@ -248,7 +253,9 @@ def evaluate_mode(
 
     Each group is one recording: (label, feature arrays of its samples),
     scored by the mean of its samples' probabilities. The frame baseline
-    reports the mean of its four nets' accuracies.
+    reports the mean of its four nets' accuracies. ``nets`` may be any
+    iterable (``train_nets``, say); it is drawn one net at a time, and each
+    net is scored and released before the next is drawn.
     """
     sizes = [len(samples) for _, samples in test_groups]
     if 0 in sizes:
@@ -257,7 +264,7 @@ def evaluate_mode(
     x = np.stack([f for _, samples in test_groups for f in samples])
     bounds = np.cumsum(sizes)[:-1]
     confusions = []
-    for probs in mode_probas(mode, models, x):
+    for probs in mode_probas(mode, nets, x):
         preds = [int(np.argmax(p.mean(axis=0))) for p in np.split(probs, bounds)]
         confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
         np.add.at(confusion, (labels, preds), 1)
@@ -313,18 +320,12 @@ def run_experiment(
         ]
 
         for mode in modes:
-            with _stage("train"):
-                models, curves = train_mode(
-                    mode, train_x, train_y, config.train, manifest.class_count
-                )
-            with _stage("evaluate"):
-                acc, confusions = evaluate_mode(
-                    mode, models, test_groups, manifest.class_count
-                )
-            del models  # the next mode trains without this one's nets
             res = results[mode]
+            nets = train_nets(mode, train_x, train_y, config.train, manifest.class_count,
+                              res.loss_curves)
+            with _stage("evaluate"):  # a StageError from training passes through as is
+                acc, confusions = evaluate_mode(mode, nets, test_groups, manifest.class_count)
             res.fold_accuracies.append(acc)
-            res.loss_curves.extend(curves)
             if res.confusions:
                 for total, fold in zip(res.confusions, confusions):
                     total += fold

@@ -11,9 +11,10 @@ elementwise maximum ("maxpool").
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -283,34 +284,37 @@ def train(
     w1_block = np.empty((min(rows, d), cfg.hidden))
 
     curve = [dataset_mean_loss(params, x, y)]
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(n_samples)
-        epoch_loss = 0.0
-        for start in range(0, n_samples, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            xb, yb = x[idx], y[idx]
-            b, k = xb.shape[0], xb.shape[1]
-            flat, pre, hidden, z = _forward_batch(params, xb)
-            batch_loss = _batch_mean_loss(z, yb)
-            if not np.isfinite(batch_loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch + 1}, sample offset {start}"
-                )
-            epoch_loss += batch_loss * b
+    # an overflowing step is named by the next batch's loss check (after the
+    # last step, by the checkpoint's or the scores' finiteness check)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            perm = rng.permutation(n_samples)
+            epoch_loss = 0.0
+            for start in range(0, n_samples, cfg.batch_size):
+                idx = perm[start:start + cfg.batch_size]
+                xb, yb = x[idx], y[idx]
+                b, k = xb.shape[0], xb.shape[1]
+                flat, pre, hidden, z = _forward_batch(params, xb)
+                batch_loss = _batch_mean_loss(z, yb)
+                if not np.isfinite(batch_loss):
+                    raise TrainingDivergedError(
+                        f"non-finite loss at epoch {epoch + 1}, sample offset {start}"
+                    )
+                epoch_loss += batch_loss * b
 
-            probs = softmax(z.reshape(b * k, -1))
-            delta = (probs - np.repeat(onehot[yb], k, axis=0)) / b
-            g_hidden = _hidden_grad(params, pre, delta)  # before W2 moves
-            for param, grad in ((params.W2, hidden.T @ delta), (params.b2, delta.sum(axis=0)),
-                                (params.b1, g_hidden.sum(axis=0))):
-                grad *= cfg.learning_rate
-                param -= grad
-            for r in range(0, d, rows):
-                block = w1_block[:min(rows, d - r)]
-                np.matmul(flat[:, r:r + rows].T, g_hidden, out=block)
-                block *= cfg.learning_rate
-                params.W1[r:r + rows] -= block
-        curve.append(epoch_loss / n_samples)
+                probs = softmax(z.reshape(b * k, -1))
+                delta = (probs - np.repeat(onehot[yb], k, axis=0)) / b
+                g_hidden = _hidden_grad(params, pre, delta)  # before W2 moves
+                for param, grad in ((params.W2, hidden.T @ delta), (params.b2, delta.sum(axis=0)),
+                                    (params.b1, g_hidden.sum(axis=0))):
+                    grad *= cfg.learning_rate
+                    param -= grad
+                for r in range(0, d, rows):
+                    block = w1_block[:min(rows, d - r)]
+                    np.matmul(flat[:, r:r + rows].T, g_hidden, out=block)
+                    block *= cfg.learning_rate
+                    params.W1[r:r + rows] -= block
+            curve.append(epoch_loss / n_samples)
     return params, curve
 
 
@@ -336,11 +340,17 @@ def predict_multi_sample(
     return int(np.argmax(probs)), probs
 
 
-def mode_probas(mode: str, nets: Sequence[MtlnParams], x: np.ndarray) -> list[np.ndarray]:
-    """Each net's (N, n_classes) probabilities of (N, 4, d) features, checked finite."""
+def mode_probas(mode: str, nets: Iterable[MtlnParams], x: np.ndarray) -> list[np.ndarray]:
+    """Each net's (N, n_classes) probabilities of (N, 4, d) features, checked
+    finite. ``nets`` may be any iterable; it is drawn one net at a time, and
+    no reference to a scored net is kept while the next one is drawn."""
+    inputs = mode_inputs(mode, x)
+    nets = iter(nets)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is named below
-        probas = [predict_proba(net, inputs)
-                  for net, inputs in zip(nets, mode_inputs(mode, x), strict=True)]
+        probas = list(map(predict_proba, itertools.islice(nets, len(inputs)), inputs))
+    count = len(probas) + sum(1 for _ in nets)
+    if count != len(inputs):
+        raise ValueError(f"mode {mode} needs {len(inputs)} net(s), found {count}")
     if not np.isfinite(probas).all():
         raise TrainingDivergedError(f"{mode} class probabilities are not finite")
     return probas

@@ -458,6 +458,8 @@ EVAL_CONFIG = (
     (("", "modes = mtln,frames\n"), "modes: expected a comma-separated list"),
     (("", "epochs = 0\n"), "epochs must be >= 1"),
     (("", "size\n"), "line 7: expected 'key = value'"),
+    (("", "batch = 0\n"), "batch: batch_size must be >= 1"),
+    (("", "coords = polar\n"), "coords: coords must be cylindrical or cartesian"),
 ])
 def test_eval_config_faults_name_the_file_and_key(tmp_path, capsys, edit, message):
     old, new = edit
@@ -921,7 +923,7 @@ def test_train_with_a_learning_rate_that_gives_no_usable_model_fails(toy_feature
 
 
 @pytest.mark.parametrize("lr, message", [
-    ("nan", "{cfg}: learning_rate must be > 0 and finite"),
+    ("nan", "{cfg}: lr: learning_rate must be > 0 and finite"),
     # the trained weights overflow the forward pass at evaluation
     ("1e308", "[evaluate] mtln class probabilities are not finite"),
 ])
@@ -934,4 +936,28 @@ def test_eval_with_a_learning_rate_that_gives_no_usable_model_fails(toy_features
     out = tmp_path / "run"
     assert run_cli_quietly("eval", "--config", cfg, "--data", data, "--out", out) == (
         1, f"skelclip: {message.format(cfg=cfg)}\n", [])
+    assert not out.exists()
+
+
+DIVERGES = "skelclip: [train] non-finite loss at epoch 1, sample offset 2\n"
+
+
+def test_train_that_diverges_fails_tagged_without_a_warning(toy_features, tmp_path):
+    # the first SGD step overflows the weights, so the second batch's loss is not finite
+    data, feats = toy_features
+    model = tmp_path / "model.sktf"
+    assert run_cli_quietly("train", "--features", feats, "--manifest", data / "manifest.txt",
+                           "--hidden", 4, "--lr", "1e200", "--epochs", 4, "--batch", 2,
+                           "--out", model) == (1, DIVERGES, [])
+    assert not model.exists()
+
+
+def test_eval_that_diverges_fails_tagged_without_a_warning(toy_features, tmp_path):
+    data, _ = toy_features
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("protocol = k-fold\nfolds = 2\nsize = 16\nchannels = 2\nhidden = 4\n"
+                   "epochs = 4\nbatch = 2\nlr = 1e200\n")
+    out = tmp_path / "run"
+    assert run_cli_quietly("eval", "--config", cfg, "--data", data, "--out", out) == (
+        1, DIVERGES, [])
     assert not out.exists()

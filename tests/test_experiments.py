@@ -262,22 +262,42 @@ def test_run_experiment_all_modes(tiny_dataset, tiny_protocol):
 
 def test_run_experiment_frees_a_modes_nets_before_the_next_mode_trains(
         tiny_dataset, tiny_protocol, monkeypatch):
-    from skelclip.experiments import train_mode
+    from skelclip.experiments import train_nets
 
     manifest, loader = tiny_dataset
     refs = {}
 
-    def watching_train_mode(mode, x, y, cfg, n_classes):
+    def watching_train_nets(mode, x, y, cfg, n_classes, curves):
         if mode == "frame":
             refs["alive_when_frame_trains"] = refs["mtln_W1"]() is not None
-        models, curves = train_mode(mode, x, y, cfg, n_classes)
-        refs.setdefault("mtln_W1", weakref.ref(models[0].W1))
-        return models, curves
+        for net in train_nets(mode, x, y, cfg, n_classes, curves):
+            refs.setdefault("mtln_W1", weakref.ref(net.W1))
+            yield net
 
-    monkeypatch.setattr(experiments, "train_mode", watching_train_mode)
+    monkeypatch.setattr(experiments, "train_nets", watching_train_nets)
     run_experiment(manifest, loader, tiny_protocol, tiny_pipeline(epochs=2),
                    modes=("mtln", "frame"))
     assert refs["alive_when_frame_trains"] is False
+
+
+def test_run_experiment_holds_one_trained_net_at_a_time(tiny_dataset, tiny_protocol, monkeypatch):
+    # every net, of any mode, is scored and freed before the next one trains
+    from skelclip.experiments import train
+
+    manifest, loader = tiny_dataset
+    trained, alive = [], []
+
+    def watching_train(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in trained))
+        net, curve = train(*args, **kwargs)
+        trained.append(weakref.ref(net))
+        return net, curve
+
+    monkeypatch.setattr(experiments, "train", watching_train)
+    report = run_experiment(manifest, loader, tiny_protocol, tiny_pipeline(epochs=2),
+                            modes=("mtln", "frame"))
+    assert alive == [0] * 5
+    assert [len(m.loss_curves) for m in report.modes] == [1, 4]
 
 
 def test_run_experiment_deterministic(tiny_dataset, tiny_protocol):
@@ -375,7 +395,7 @@ def test_run_experiment_crops_match_oracle(fig16, tiny_protocol, monkeypatch, av
     # training sees only the crops; each test recording is scored on its
     # plain sample, plus its crops with test_average_crops, exactly as
     # evaluate_mode scores groups built from compute_features
-    from skelclip.experiments import evaluate_mode, train_mode
+    from skelclip.experiments import evaluate_mode, train_nets
 
     cfg = SynthConfig(layout=fig16, n_classes=2, t_min=8, t_max=12,
                       sigma=0.05, samples_per_class=8, seed=4)
@@ -391,12 +411,14 @@ def test_run_experiment_crops_match_oracle(fig16, tiny_protocol, monkeypatch, av
     )
     trained = []
 
-    def recording_train_mode(mode, x, y, cfg, n_classes):
-        models, curves = train_mode(mode, x, y, cfg, n_classes)
+    def recording_train_nets(mode, x, y, cfg, n_classes, curves):
+        models = []
         trained.append((mode, x, y, models))
-        return models, curves
+        for net in train_nets(mode, x, y, cfg, n_classes, curves):
+            models.append(net)
+            yield net
 
-    monkeypatch.setattr(experiments, "train_mode", recording_train_mode)
+    monkeypatch.setattr(experiments, "train_nets", recording_train_nets)
     report = run_experiment(manifest, loader, tiny_protocol, pipeline, modes=("mtln", "frame"))
 
     features = compute_features(manifest, loader, pipeline)
@@ -559,6 +581,20 @@ def test_evaluate_mode_matches_per_recording_loop(mode, rng):
     assert any(np.count_nonzero(c.sum(axis=0)) > 1 for c in expect)  # not one class
     with pytest.raises(ValueError, match="at least one sample"):
         evaluate_mode(mode, models, groups + [(0, [])], n_classes)
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_evaluate_mode_names_a_wrong_net_count(count, rng):
+    from skelclip import MtlnParams
+    from skelclip.experiments import evaluate_mode
+
+    nets = [MtlnParams(W1=rng.standard_normal((5, 8)), b1=np.zeros(8),
+                       W2=rng.standard_normal((8, 2)), b2=np.zeros(2)) for _ in range(count)]
+    groups = [(i % 2, [rng.standard_normal((4, 5))]) for i in range(4)]
+    with pytest.raises(ValueError, match=rf"^mode frame needs 4 net\(s\), found {count}$"):
+        evaluate_mode("frame", nets, groups, 2)
+    with pytest.raises(ValueError, match=rf"^mode frame needs 4 net\(s\), found {count}$"):
+        evaluate_mode("frame", iter(nets), groups, 2)
 
 
 # ---------------------------------------------------------------------------
