@@ -108,6 +108,11 @@ class PipelineConfig:
     def __post_init__(self):
         if self.augment_count < 0:
             raise ValueError("augment_count must be >= 0")
+        size = self.clip_options.size
+        try:
+            self.extractor.check_frame_size(size, size)
+        except ValueError as exc:
+            raise ValueError(f"size: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,16 @@ feature extractor: a fixed stack of 3x3 conv / ReLU / 2x2 max-pool stages
 whose weights are drawn once from a seeded splitmix64 generator and never
 trained. 224 x 224 inputs pass through four stages (224 -> 112 -> 56 -> 28
 -> 14), ending in 14 x 14 x C feature maps. Every input frame is one gray
-(single-channel) clip frame: ``build_time_step_features`` runs the 12 frames
-of a clip set's (3, 4, H, W) array through ``_extract_batch``, which takes
-channel-last batches and runs each frame alone and channel-first. Temporal mean
-pooling averages the rectified activations of each feature map over the row
-(time) axis and concatenates the per-map results map-major into a W*C vector;
-with C = 512 this is the 7168-dimensional representation of one clip frame.
+(single-channel) clip frame: ``build_time_step_features`` widens, extracts and
+pools the 12 frames of a clip set's (3, 4, H, W) array one at a time through
+``_extract_batch``, which takes channel-last batches and runs each frame alone
+and channel-first, dropping each stage's buffers before the next allocation.
+Only one stage of one frame is alive at a time (about 9 MB at 224 x 224, at any
+C), which keeps the heap from being returned to the kernel and faulted back in
+on every frame. Temporal mean pooling averages the rectified activations of
+each feature map over the row (time) axis and concatenates the per-map results
+map-major into a W*C vector; with C = 512 this is the 7168-dimensional
+representation of one clip frame.
 A clip set pools to one (3, 4, W*C) array, and ``stack_time_step_features``
 joins each time-step's three channel vectors into the (4, 3*W*C) sample the
 classifier takes (21504-D per time-step at C = 512).
@@ -88,6 +92,14 @@ class ExtractorSpec:
     def widths(self) -> tuple[int, ...]:
         return (*self.stage_widths, self.channels)
 
+    def check_frame_size(self, h: int, w: int) -> None:
+        """ValueError unless an H x W frame halves through every stage."""
+        stages = len(self.widths)
+        side = 2**stages
+        if h % side or w % side or min(h, w) < side:
+            raise ValueError(f"frame size {h}x{w} not halvable through {stages} stages: "
+                             f"each side must be a multiple of {side}")
+
 
 # ---------------------------------------------------------------------------
 # Seeded deterministic weights
@@ -155,31 +167,39 @@ def extractor_weights(spec: ExtractorSpec) -> tuple[np.ndarray, ...]:
 def _extract_batch(frames: np.ndarray, spec: ExtractorSpec) -> np.ndarray:
     """(B, H, W, C_in) pixel batch in [0, 1] -> (B, H', W', C) activations.
 
-    Frames run one at a time and channel-first, (C, H, W), so only one
-    frame's column matrix is ever resident. Each stage zero-pads the frame,
-    fills a K-major (C_in, 3, 3, H, W) column matrix with nine shifted slice
-    copies in the kernels' tap order, reduces it with one (C_out, C_in*9)
-    product, max-pools 2x2 by two elementwise maxima, then rectifies the
-    pooled quarter in place (ReLU and max commute, so this is exact).
+    H and W must be multiples of 2 ** stages, checked once before stage 1.
+    Frames run one at a time and channel-first, (C, H, W). Each stage
+    zero-pads the frame, fills a K-major (C_in, 3, 3, H, W) column matrix
+    with nine shifted slice copies in the kernels' tap order, reduces it with
+    one (C_out, C_in*9) product, max-pools 2x2 by two elementwise maxima,
+    then rectifies the pooled quarter in place (ReLU and max commute, so this
+    is exact). Only one stage of one frame is alive at a time: about 9 MB at
+    224 x 224 and any C.
     """
     weights = extractor_weights(spec)
-    out = []
-    for x in frames.transpose(0, 3, 1, 2):
+    b, h, wd, _ = frames.shape
+    spec.check_frame_size(h, wd)
+    out = np.empty((b, h >> len(weights), wd >> len(weights), spec.channels))
+    for i, x in enumerate(frames.transpose(0, 3, 1, 2)):
         for w in weights:
             cin, h, wd = x.shape
-            if h % 2 or wd % 2 or h < 2 or wd < 2:
-                raise ValueError(f"frame size {h}x{wd} not halvable through {len(weights)} stages")
             xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
             col = np.empty((cin, 3, 3, h, wd))
             for ky, kx in np.ndindex(3, 3):
                 col[:, ky, kx] = xp[:, ky:ky + h, kx:kx + wd]
+            # Each buffer is dropped before the next allocation, so the live
+            # set stays under glibc's heap trim threshold: otherwise the
+            # freed pages go back to the kernel and fault in again per frame.
+            del xp
             y = w.reshape(-1, cin * 9) @ col.reshape(cin * 9, h * wd)
+            del col
             y = y.reshape(-1, h // 2, 2, wd // 2, 2)
             x = np.maximum(y[:, :, 0], y[:, :, 1])  # row pairs
+            del y
             x = np.maximum(x[..., 0], x[..., 1])  # column pairs
             np.maximum(x, 0.0, out=x)
-        out.append(x.transpose(1, 2, 0))
-    return np.stack(out)
+        out[i] = x.transpose(1, 2, 0)
+    return out
 
 
 def _pool(maps: np.ndarray) -> np.ndarray:
@@ -203,12 +223,15 @@ def build_time_step_features(cs: ClipSet, spec: ExtractorSpec = ExtractorSpec())
     """Extract and pool all 12 frames of a clip set, pixels mapped to [0, 1].
 
     Returns the pooled (3 channels, 4 time-steps, W*C) array in clip order;
-    ``stack_time_step_features`` joins it into the classifier's input.
+    ``stack_time_step_features`` joins it into the classifier's input. Each
+    frame is widened, extracted and pooled before the next one starts, so
+    only its pooled row outlives it; the bytes are those of the 12 frames
+    widened, extracted and pooled as one batch.
     """
     h, wd = cs.size
-    batch = cs.pixels.reshape(12, h, wd, 1).astype(np.float64) / 255.0
-    maps = _extract_batch(batch, spec)  # (12, H', W', C)
-    return _pool(maps).reshape(3, 4, -1)
+    frames = cs.pixels.reshape(12, 1, h, wd, 1)
+    pooled = [_pool(_extract_batch(f.astype(np.float64) / 255.0, spec)) for f in frames]
+    return np.concatenate(pooled).reshape(3, 4, -1)
 
 
 def stack_time_step_features(pooled: np.ndarray) -> np.ndarray:

@@ -460,6 +460,9 @@ EVAL_CONFIG = (
     (("", "size\n"), "line 7: expected 'key = value'"),
     (("", "batch = 0\n"), "batch: batch_size must be >= 1"),
     (("", "coords = polar\n"), "coords: coords must be cylindrical or cartesian"),
+    # 30 halves once to 15: refused before the manifest is read, by the size asked for
+    (("size = 32", "size = 30"),
+     "size: frame size 30x30 not halvable through 4 stages: each side must be a multiple of 16"),
 ])
 def test_eval_config_faults_name_the_file_and_key(tmp_path, capsys, edit, message):
     old, new = edit

@@ -11,6 +11,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from skelclip import (
     ClipOptions,
+    ClipSet,
     ExtractorSpec,
     FeatureMaps,
     SkeletonSequence,
@@ -169,6 +170,13 @@ def test_extract_rejects_unhalvable():
         extract_frame(np.zeros((225, 225), dtype=np.uint8), ExtractorSpec(channels=8))
 
 
+def test_unhalvable_frame_is_named_by_its_input_size():
+    # 48x40 runs three stages before 6x5 cannot halve; the error names 48x40
+    with pytest.raises(ValueError, match=r"^frame size 48x40 not halvable through 4 stages: "
+                                         r"each side must be a multiple of 16$"):
+        extract_frame(np.zeros((48, 40), dtype=np.uint8), ExtractorSpec(channels=8))
+
+
 def test_one_stage_toy_matches_conv_oracle(rng):
     # 8x8 single-stage extractor against the nested-loop oracle
     spec = ExtractorSpec(channels=4, seed=9, stage_widths=())
@@ -299,6 +307,35 @@ def test_time_step_features_match_per_frame_path(fig16, rng):
             fm = FeatureMaps(maps=extract_frame(cs.pixels[c, r], spec))
             parts.append(temporal_mean_pool(fm).values)
         assert np.abs(feats[r] - np.concatenate(parts)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("size", [32, 224])
+@pytest.mark.parametrize("channels", [4, 64])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_time_step_features_are_byte_equal_to_the_batched_path(size, channels, seed):
+    rng = np.random.default_rng(seed)
+    cs = ClipSet(pixels=rng.integers(0, 256, (3, 4, size, size), dtype=np.uint8))
+    spec = ExtractorSpec(channels=channels, seed=seed)
+    # the reference: all 12 frames widened, extracted and pooled as one batch
+    batched = _pool(_extract_batch(cs.pixels.reshape(12, size, size, 1).astype(np.float64) / 255.0,
+                                   spec)).reshape(3, 4, -1)
+    assert build_time_step_features(cs, spec).tobytes() == batched.tobytes()
+
+
+@pytest.mark.parametrize("channels", [64, 512])
+def test_time_step_features_hold_one_frame_stage_at_a_time(rng, channels):
+    # one stage of one frame (the 7.2 MB stage-2 column matrix and its
+    # neighbours) is alive at a time; all 12 frames at once take 20-28 MiB
+    cs = ClipSet(pixels=rng.integers(0, 256, (3, 4, 224, 224), dtype=np.uint8))
+    spec = ExtractorSpec(channels=channels)
+    extractor_weights(spec)  # cached weights are not part of the call's peak
+    tracemalloc.start()
+    try:
+        build_time_step_features(cs, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
 
 
 def test_zero_clipset_gives_zero_features(fig16):
