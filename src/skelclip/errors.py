@@ -54,6 +54,7 @@ def check_array(arr, shape, what: str, *, dtype=None, finite: bool = False,
         if dtype is not None:
             wanted = f"{np.dtype(dtype).name} {wanted}"
         raise error(f"expected a {wanted} {what}, got {arr.dtype} {arr.shape}")
-    if finite and not np.isfinite(arr).all():
+    # min and max propagate NaN and expose infinities, and allocate no array-sized mask
+    if finite and arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise error(f"{what} contains non-finite values")
     return arr

@@ -253,23 +253,30 @@ def evaluate_mode(
     nets: Iterable[MtlnParams],
     test_groups: list[tuple[int, list[np.ndarray]]],
     n_classes: int,
+    scaler: FeatureScaler | None = None,
 ) -> tuple[float, list[np.ndarray]]:
     """Accuracy and per-net confusion matrices over grouped test samples.
 
     Each group is one recording: (label, feature arrays of its samples),
     scored by the mean of its samples' probabilities. The frame baseline
     reports the mean of its four nets' accuracies. ``nets`` may be any
-    iterable (``train_nets``, say); it is drawn one net at a time, and each
-    net is scored and released before the next is drawn.
+    iterable (``train_nets``, say); it is drawn one net at a time. Each net
+    scores its own stack of the samples, standardized with ``scaler`` when
+    one is given, built after the net is drawn and released with it, so no
+    test-side array is held while the next net is drawn (trained).
     """
     sizes = [len(samples) for _, samples in test_groups]
     if 0 in sizes:
         raise ValueError("every test group needs at least one sample")
     labels = np.array([label for label, _ in test_groups], dtype=np.intp)
-    x = np.stack([f for _, samples in test_groups for f in samples])
     bounds = np.cumsum(sizes)[:-1]
+
+    def stacked() -> np.ndarray:
+        x = np.stack([f for _, samples in test_groups for f in samples])
+        return x if scaler is None else scaler.apply(x)
+
     confusions = []
-    for probs in mode_probas(mode, nets, x):
+    for probs in mode_probas(mode, nets, stacked):
         preds = [int(np.argmax(p.mean(axis=0))) for p in np.split(probs, bounds)]
         confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
         np.add.at(confusion, (labels, preds), 1)
@@ -319,8 +326,8 @@ def run_experiment(
 
         scaler = FeatureScaler.fit(train_x, config.standardize)
         train_x = scaler.apply(train_x)
-        test_groups = [
-            (e.label, [scaler.apply(f) for part in features[e.path][:test_parts] for f in part])
+        test_groups = [  # unscaled: evaluate_mode scales one net's stack at a time
+            (e.label, [f for part in features[e.path][:test_parts] for f in part])
             for e in test_manifest.entries
         ]
 
@@ -329,7 +336,7 @@ def run_experiment(
             nets = train_nets(mode, train_x, train_y, config.train, manifest.class_count,
                               res.loss_curves)
             with _stage("evaluate"):  # a StageError from training passes through as is
-                acc, confusions = evaluate_mode(mode, nets, test_groups, manifest.class_count)
+                acc, confusions = evaluate_mode(mode, nets, test_groups, manifest.class_count, scaler)
             res.fold_accuracies.append(acc)
             if res.confusions:
                 for total, fold in zip(res.confusions, confusions):

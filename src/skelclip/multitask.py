@@ -11,10 +11,9 @@ elementwise maximum ("maxpool").
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -340,17 +339,25 @@ def predict_multi_sample(
     return int(np.argmax(probs)), probs
 
 
-def mode_probas(mode: str, nets: Iterable[MtlnParams], x: np.ndarray) -> list[np.ndarray]:
+def mode_probas(mode: str, nets: Iterable[MtlnParams],
+                x: np.ndarray | Callable[[], np.ndarray]) -> list[np.ndarray]:
     """Each net's (N, n_classes) probabilities of (N, 4, d) features, checked
     finite. ``nets`` may be any iterable; it is drawn one net at a time, and
-    no reference to a scored net is kept while the next one is drawn."""
-    inputs = mode_inputs(mode, x)
+    no reference to a scored net is kept while the next one is drawn. ``x``
+    may be a function building the features: it is called once per net, after
+    the net is drawn, and its result is dropped before the next draw."""
+    build = x if callable(x) else lambda: x
+    count = TASK_COUNT if mode == "frame" else 1
     nets = iter(nets)
+
+    def score(i: int, net: MtlnParams) -> np.ndarray:
+        return predict_proba(net, mode_inputs(mode, build())[i])
+
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is named below
-        probas = list(map(predict_proba, itertools.islice(nets, len(inputs)), inputs))
-    count = len(probas) + sum(1 for _ in nets)
-    if count != len(inputs):
-        raise ValueError(f"mode {mode} needs {len(inputs)} net(s), found {count}")
+        probas = list(map(score, range(count), nets))  # range first: no extra net is drawn
+    found = len(probas) + sum(1 for _ in nets)
+    if found != count:
+        raise ValueError(f"mode {mode} needs {count} net(s), found {found}")
     if not np.isfinite(probas).all():
         raise TrainingDivergedError(f"{mode} class probabilities are not finite")
     return probas

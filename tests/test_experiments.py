@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -300,6 +301,44 @@ def test_run_experiment_holds_one_trained_net_at_a_time(tiny_dataset, tiny_proto
     assert [len(m.loss_curves) for m in report.modes] == [1, 4]
 
 
+def test_run_experiment_trains_with_only_training_data_alive(tiny_dataset, tiny_protocol,
+                                                           monkeypatch):
+    # wide features make the test side 1.5 MiB; when a net starts training,
+    # memory beyond the features holds the train side and nothing of the
+    # test side, neither a standardized copy nor a stack
+    from skelclip.experiments import train
+
+    manifest, loader = tiny_dataset
+    d = 8192
+    rng = np.random.default_rng(0)
+    after_features, at_train = [], []
+
+    def wide_features(manifest, loader, config):
+        out = {e.path: ([rng.standard_normal((4, d))], []) for e in manifest.entries}
+        after_features.append(tracemalloc.get_traced_memory()[0])
+        return out
+
+    def watching_train(*args, **kwargs):
+        at_train.append(tracemalloc.get_traced_memory()[0])
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "compute_features", wide_features)
+    monkeypatch.setattr(experiments, "train", watching_train)
+    tracemalloc.start()
+    try:
+        run_experiment(manifest, loader, tiny_protocol, tiny_pipeline(epochs=1),
+                       modes=("mtln", "frame"))
+    finally:
+        tracemalloc.stop()
+    (train_side, test_side), = make_splits(manifest, tiny_protocol)
+    sample = 4 * d * 8
+    assert len(test_side.entries) * sample >= 1.5 * 2**20
+    # the standardized (N, 4, d) train stack, the scaler's (4, d) mean, 128 KiB of slack
+    budget = len(train_side.entries) * sample + sample + 128 * 2**10
+    assert len(at_train) == 5
+    assert max(at_train) - after_features[0] <= budget
+
+
 def test_run_experiment_deterministic(tiny_dataset, tiny_protocol):
     manifest, loader = tiny_dataset
     a = run_experiment(manifest, loader, tiny_protocol, tiny_pipeline(), modes=("mtln",))
@@ -583,7 +622,43 @@ def test_evaluate_mode_matches_per_recording_loop(mode, rng):
         evaluate_mode(mode, models, groups + [(0, [])], n_classes)
 
 
-@pytest.mark.parametrize("count", [3, 5])
+@pytest.mark.parametrize("mode, scaled", [("mtln", False), ("frame", False),
+                                           ("mtln", True), ("frame", True)])
+def test_evaluate_mode_holds_no_test_stack_while_a_net_is_drawn(mode, scaled, rng):
+    # a 2.6 MB test side; train_nets trains each net when it is drawn
+    from skelclip import MtlnParams
+    from skelclip.experiments import evaluate_mode
+
+    d = 2048
+    groups = [(i % 2, [rng.standard_normal((4, d))]) for i in range(40)]
+    nets = [MtlnParams(W1=rng.standard_normal((d, 8)) * 0.01, b1=np.zeros(8),
+                       W2=rng.standard_normal((8, 2)), b2=np.zeros(2))
+            for _ in range(4 if mode == "frame" else 1)]
+    scaler = FeatureScaler(mean=rng.standard_normal((4, d)), scale=2.0) if scaled else None
+    args = (scaler,) if scaled else ()  # unscaled: groups scaled beforehand, as perfbench does
+    held = []
+
+    def drawn(start):
+        for net in nets:
+            held.append(tracemalloc.get_traced_memory()[0] - start)
+            yield net
+
+    tracemalloc.start()
+    try:
+        got = evaluate_mode(mode, drawn(tracemalloc.get_traced_memory()[0]), groups, 2, *args)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == len(nets)
+    assert max(held) < 64 * 2**10
+    # the same scores as on samples standardized one at a time
+    if scaled:
+        groups = [(label, [scaler.apply(f) for f in samples]) for label, samples in groups]
+    acc, confusions = evaluate_mode(mode, nets, groups, 2)
+    assert got[0] == acc
+    assert all(np.array_equal(a, b) for a, b in zip(got[1], confusions))
+
+
+@pytest.mark.parametrize("count", [3, 5, 0])
 def test_evaluate_mode_names_a_wrong_net_count(count, rng):
     from skelclip import MtlnParams
     from skelclip.experiments import evaluate_mode
