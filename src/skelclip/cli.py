@@ -117,7 +117,7 @@ def _cmd_extract(args) -> int:
         raise StageError("extract", f"no input tensors found in {clip_dir}")
     for path in paths:
         with _stage("extract", path):
-            feats = stack_time_step_features(features(path)).astype(np.float32)
+            feats = stack_time_step_features(features(path))
         write_tensor(_replacing(out / f"{path.name[:-len(suffix)]}.feat.sktf"), feats)
     print(f"wrote {len(paths)} feature file(s) to {out}")
     return 0

@@ -28,9 +28,7 @@ _CODE_FOR_KIND = {"f": 0, "u": 1}
 def write_tensor(dest: str | Path | BinaryIO, arr: np.ndarray) -> None:
     """Write one tensor. Accepts float32/float64 (stored as f32) or uint8."""
     arr = np.asarray(arr)
-    if arr.dtype == np.float64:
-        arr = arr.astype(np.float32)
-    if arr.dtype == np.float32:
+    if arr.dtype in (np.float32, np.float64):
         code, out = 0, arr.astype("<f4")
     elif arr.dtype == np.uint8:
         code, out = 1, arr

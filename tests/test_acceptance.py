@@ -1,7 +1,8 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Runs the full synthetic benchmark (five replications), so the module takes
-roughly 15-20 minutes on a desktop CPU. One PASS line per criterion is
+about 95 s on an idle 2-vCPU machine; all of tier-1, this module included,
+took 123 s there. One PASS line per criterion is
 printed (run with ``pytest tests/test_acceptance.py -v -s`` to see them).
 """
 

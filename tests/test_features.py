@@ -23,14 +23,14 @@ from skelclip import (
     temporal_mean_pool,
     write_tensor,
 )
-from skelclip.features import _extract_batch, _pool, extractor_weights, seeded_normals
+from skelclip.features import _extract_frame, _pool, extractor_weights, seeded_normals
 
 from conftest import random_sequence
 
 
 def extract_frame(pixels, spec=ExtractorSpec()):
     """One (H, W) uint8 gray frame through the extractor, pixels in [0, 1]."""
-    return _extract_batch(pixels.astype(np.float64)[None, :, :, None] / 255.0, spec)[0]
+    return _extract_frame(pixels.astype(np.float64) / 255.0, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +181,7 @@ def test_one_stage_toy_matches_conv_oracle(rng):
     # 8x8 single-stage extractor against the nested-loop oracle
     spec = ExtractorSpec(channels=4, seed=9, stage_widths=())
     x = rng.random((8, 8, 1))
-    got = _extract_batch(x[None], spec)[0]
+    got = _extract_frame(x[..., 0], spec)
     w = extractor_weights(spec)[0]
     expect = maxpool_oracle(np.maximum(conv3x3_oracle(x, w), 0.0))
     assert got.shape == (4, 4, 4)
@@ -191,7 +191,7 @@ def test_one_stage_toy_matches_conv_oracle(rng):
 def test_two_stage_toy_matches_conv_oracle(rng):
     spec = ExtractorSpec(channels=3, seed=2, stage_widths=(2,))
     x = rng.random((12, 12, 1))
-    got = _extract_batch(x[None], spec)[0]
+    got = _extract_frame(x[..., 0], spec)
     w1, w2 = extractor_weights(spec)
     mid = maxpool_oracle(np.maximum(conv3x3_oracle(x, w1), 0.0))
     expect = maxpool_oracle(np.maximum(conv3x3_oracle(mid, w2), 0.0))
@@ -202,31 +202,22 @@ def test_three_stage_nonsquare_batch_matches_conv_oracle(rng):
     # 3 frames of 8x16 through (2, 3) + 4 stages: 8x16 -> 4x8 -> 2x4 -> 1x2
     spec = ExtractorSpec(channels=4, seed=7, stage_widths=(2, 3))
     x = rng.random((3, 8, 16, 1))
-    got = _extract_batch(x, spec)
-    assert got.shape == (3, 1, 2, 4)
-    for frame, maps in zip(x, got):
+    for frame in x:
+        maps = _extract_frame(frame[..., 0], spec)
+        assert maps.shape == (1, 2, 4)
         expect = frame
         for w in extractor_weights(spec):
             expect = maxpool_oracle(np.maximum(conv3x3_oracle(expect, w), 0.0))
         assert np.abs(maps - expect).max() <= 1e-10
 
 
-def test_frames_extract_independently(rng):
-    # a frame's maps do not depend on the other frames of its batch
-    spec = ExtractorSpec(channels=5, seed=3, stage_widths=(4,))
-    x = rng.random((4, 16, 12, 1))
-    batch = _extract_batch(x, spec)
-    for i in range(4):
-        assert np.array_equal(batch[i], _extract_batch(x[i:i + 1], spec)[0])
-
-
 def test_full_size_frame_matches_nhwc_reference(rng):
     # one 224x224 frame through the default four stages at C = 64
     spec = ExtractorSpec(channels=64, seed=11)
     x = rng.random((1, 224, 224, 1))
-    got = _extract_batch(x, spec)
-    assert got.shape == (1, 14, 14, 64)
-    assert np.abs(got - nhwc_reference(x, spec)).max() <= 1e-10
+    got = _extract_frame(x[0, ..., 0], spec)
+    assert got.shape == (14, 14, 64)
+    assert np.abs(got - nhwc_reference(x, spec)[0]).max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +307,10 @@ def test_time_step_features_are_byte_equal_to_the_batched_path(size, channels, s
     rng = np.random.default_rng(seed)
     cs = ClipSet(pixels=rng.integers(0, 256, (3, 4, size, size), dtype=np.uint8))
     spec = ExtractorSpec(channels=channels, seed=seed)
-    # the reference: all 12 frames widened, extracted and pooled as one batch
-    batched = _pool(_extract_batch(cs.pixels.reshape(12, size, size, 1).astype(np.float64) / 255.0,
-                                   spec)).reshape(3, 4, -1)
+    # the reference: all 12 frames widened at once, extracted one by one,
+    # and their stacked (12, H', W', C) maps pooled by one call
+    frames = cs.pixels.reshape(12, size, size).astype(np.float64) / 255.0
+    batched = _pool(np.stack([_extract_frame(f, spec) for f in frames])).reshape(3, 4, -1)
     assert build_time_step_features(cs, spec).tobytes() == batched.tobytes()
 
 
