@@ -272,8 +272,11 @@ def evaluate_mode(
     bounds = np.cumsum(sizes)[:-1]
 
     def stacked() -> np.ndarray:
-        x = np.stack([f for _, samples in test_groups for f in samples])
-        return x if scaler is None else scaler.apply(x)
+        x = np.stack([f for _, samples in test_groups for f in samples], dtype=np.float64)
+        if scaler is not None:  # in place: the fresh stack is the only test-side copy
+            x -= scaler.mean
+            x /= scaler.scale
+        return x
 
     confusions = []
     for probs in mode_probas(mode, nets, stacked):

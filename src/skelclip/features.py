@@ -7,22 +7,26 @@ trained. 224 x 224 inputs pass through four stages (224 -> 112 -> 56 -> 28
 -> 14), ending in 14 x 14 x C feature maps. Every input frame is one gray
 (single-channel) clip frame: ``build_time_step_features`` widens, extracts and
 pools the 12 frames of a clip set's (3, 4, H, W) array one at a time, and
-``_extract_frame`` runs one (H, W) frame channel-first, dropping each stage's
-buffers before the next allocation. Only one stage of one frame is alive at a
-time (about 9 MB at 224 x 224, at any C), which keeps the heap from being
-returned to the kernel and faulted back in on every frame. Temporal mean
-pooling averages the rectified activations of each feature map over the row
-(time) axis and concatenates the per-map results map-major into a W*C vector;
-with C = 512 this is the 7168-dimensional representation of one clip frame.
-A clip set pools to one (3, 4, W*C) array, and ``stack_time_step_features``
-joins each time-step's three channel vectors into the (4, 3*W*C) sample the
-classifier takes (21504-D per time-step at C = 512).
+``_extract_frame`` runs one (H, W) frame channel-first, copying each 3x3 tap
+of a stage's input straight into its column matrix (no padded copy) and
+dropping each stage's buffers before the next allocation. Only one stage of
+one frame is alive at a time (about 9 MB at 224 x 224, at any C), which keeps
+the heap from being returned to the kernel and faulted back in on every
+frame. Temporal mean pooling averages the rectified activations of each
+feature map over the row (time) axis and concatenates the per-map results
+map-major into a W*C vector; with C = 512 this is the 7168-dimensional
+representation of one clip frame. A clip set pools to one (3, 4, W*C) array,
+and ``stack_time_step_features`` joins each time-step's three channel vectors
+into the (4, 3*W*C) sample the classifier takes (21504-D per time-step at
+C = 512).
 
 Externally computed feature maps (e.g. from a real pretrained model) can be
 ingested as one float32 (3, 4, H, W, C) tensor file per sequence through
 ``load_feature_map_stack``, which pools to the same float64 (3, 4, W*C)
-array: the stack is rectified in place as read, in float32, and only the
-temporal mean is taken in float64, so no copy of the maps is made.
+array. It reads the stack twice when no map is negative: one ``min``, which
+also rejects NaN and -inf, and the float64 temporal mean; a stack with
+negative values is rectified in place first, in float32, so no copy of the
+maps is made.
 """
 
 from __future__ import annotations
@@ -163,31 +167,43 @@ def extractor_weights(spec: ExtractorSpec) -> tuple[np.ndarray, ...]:
 # Forward pass
 
 
+# For a 3x3 tap at offset k - 1 along an axis: the span of the column
+# matrix the tap's copy fills, the span of the input it is copied from, and
+# the edge (one row or column, none for the centre tap) that zero padding
+# supplies.
+_TAP_SPANS = ((slice(1, None), slice(None, -1), slice(None, 1)),
+              (slice(None), slice(None), slice(0)),
+              (slice(None, -1), slice(1, None), slice(-1, None)))
+
+
 def _extract_frame(frame: np.ndarray, spec: ExtractorSpec) -> np.ndarray:
     """(H, W) gray frame in [0, 1] -> its (H', W', C) activations.
 
     H and W must be multiples of 2 ** stages, checked once before stage 1.
-    The frame runs channel-first, (C, H, W). Each stage zero-pads it, fills a
-    K-major (C_in, 3, 3, H, W) column matrix with nine shifted slice copies in
-    the kernels' tap order, reduces it with one (C_out, C_in*9) product,
-    max-pools 2x2 by two elementwise maxima, then rectifies the pooled
-    quarter in place (ReLU and max commute, so this is exact). Only one stage
-    is alive at a time: about 9 MB at 224 x 224 and any C. The result is the
-    channel-last view of the final (C, H', W') maps.
+    The frame runs channel-first, (C, H, W). Each stage fills a K-major
+    (C_in, 3, 3, H, W) column matrix in the kernels' tap order: each of the
+    nine taps copies its shifted interior straight from the unpadded maps
+    and zeroes the edge row and column that zero padding 1 would supply. One
+    (C_out, C_in*9) product reduces the matrix, two elementwise maxima
+    max-pool 2x2, and the pooled quarter is rectified in place (ReLU and max
+    commute, so this is exact). Only one stage is alive at a time: about
+    9 MB at 224 x 224 and any C. The result is the channel-last view of the
+    final (C, H', W') maps.
     """
     spec.check_frame_size(*frame.shape)
     x = frame[None]
     for w in extractor_weights(spec):
         cin, h, wd = x.shape
-        xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
         col = np.empty((cin, 3, 3, h, wd))
         for ky, kx in np.ndindex(3, 3):
-            col[:, ky, kx] = xp[:, ky:ky + h, kx:kx + wd]
+            (to_y, from_y, edge_y), (to_x, from_x, edge_x) = _TAP_SPANS[ky], _TAP_SPANS[kx]
+            col[:, ky, kx, to_y, to_x] = x[:, from_y, from_x]
+            col[:, ky, kx, edge_y] = 0.0
+            col[:, ky, kx, :, edge_x] = 0.0
+        y = w.reshape(-1, cin * 9) @ col.reshape(cin * 9, h * wd)
         # Each buffer is dropped before the next allocation, so the live
         # set stays under glibc's heap trim threshold: otherwise the
         # freed pages go back to the kernel and fault in again per frame.
-        del xp
-        y = w.reshape(-1, cin * 9) @ col.reshape(cin * 9, h * wd)
         del col
         y = y.reshape(-1, h // 2, 2, wd // 2, 2)
         x = np.maximum(y[:, :, 0], y[:, :, 1])  # row pairs
@@ -198,20 +214,17 @@ def _extract_frame(frame: np.ndarray, spec: ExtractorSpec) -> np.ndarray:
 
 
 def _pool(maps: np.ndarray) -> np.ndarray:
-    """Temporal mean pooling of (..., H, W, C) activations: the mean of the
-    rectified values over the row (time) axis, concatenated map-major into
-    (..., W*C): all W columns of map 1, then map 2, ... ``maps`` is rectified
-    in place, in its own dtype, and only the mean is taken in float64;
-    widening commutes with the maximum, so float32 maps pool to the same
-    bytes with no copy of the maps."""
-    pooled = np.maximum(maps, 0.0, out=maps).mean(axis=-3, dtype=np.float64)  # (..., W, C)
+    """Temporal mean pooling of (..., H, W, C) rectified activations: the mean
+    over the row (time) axis, taken in float64, concatenated map-major into
+    (..., W*C): all W columns of map 1, then map 2, ... Callers rectify."""
+    pooled = maps.mean(axis=-3, dtype=np.float64)  # (..., W, C)
     return np.swapaxes(pooled, -1, -2).reshape(*pooled.shape[:-2], -1)
 
 
 def temporal_mean_pool(fm: FeatureMaps) -> PooledFeature:
     """Pool one frame's H x W x C maps into a W*C vector (see ``_pool``)."""
     _, w, c = fm.maps.shape
-    return PooledFeature(values=_pool(fm.maps.copy()), dims=(w, c))
+    return PooledFeature(values=_pool(np.maximum(fm.maps, 0.0)), dims=(w, c))
 
 
 def build_time_step_features(cs: ClipSet, spec: ExtractorSpec = ExtractorSpec()) -> np.ndarray:
@@ -220,7 +233,8 @@ def build_time_step_features(cs: ClipSet, spec: ExtractorSpec = ExtractorSpec())
     Returns the pooled (3 channels, 4 time-steps, W*C) array in clip order;
     ``stack_time_step_features`` joins it into the classifier's input. Each
     frame is widened, extracted and pooled before the next one starts, so
-    only its pooled row outlives it.
+    only its pooled row outlives it; the extractor's last stage has already
+    rectified the maps.
     """
     h, w = cs.size
     return np.stack([_pool(_extract_frame(f / 255.0, spec))
@@ -240,6 +254,22 @@ def stack_time_step_features(pooled: np.ndarray) -> np.ndarray:
 
 def load_feature_map_stack(path: str | Path) -> np.ndarray:
     """Ingest a precomputed (3, 4, H, W, C) feature-map stack for one sequence
-    and pool it into the (3, 4, W*C) array ``build_time_step_features`` returns."""
-    return _pool(check_array(read_tensor(path), (3, 4, "H", "W", "C"), "feature-map stack",
-                             dtype=np.float32, finite=True, error=TensorFormatError))
+    and pool it into the (3, 4, W*C) array ``build_time_step_features`` returns.
+
+    The stack's ``min`` rejects NaN and -inf before any arithmetic, and decides
+    whether the maps need rectifying (in place, in float32; widening commutes
+    with the maximum). The pooled rows' ``max`` then rejects +inf, and their
+    maximum with 0 turns -0.0 into +0.0 as rectifying the maps does, so the
+    bytes are those of rectifying the widened stack and then pooling it.
+    """
+    maps = check_array(read_tensor(path), (3, 4, "H", "W", "C"), "feature-map stack",
+                       dtype=np.float32, error=TensorFormatError)
+    low = maps.min()
+    if not np.isfinite(low):
+        raise TensorFormatError("feature-map stack contains non-finite values")
+    if low < 0:
+        np.maximum(maps, 0.0, out=maps)
+    pooled = _pool(maps)
+    if not np.isfinite(pooled.max()):
+        raise TensorFormatError("feature-map stack contains non-finite values")
+    return np.maximum(pooled, 0.0, out=pooled)

@@ -109,7 +109,9 @@ class FeatureScaler:
         return cls(mean=x.mean(axis=0), scale=spread if spread > 0 else 1.0)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.mean) / self.scale
+        out = x - self.mean
+        out /= self.scale
+        return out
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

@@ -658,6 +658,30 @@ def test_evaluate_mode_holds_no_test_stack_while_a_net_is_drawn(mode, scaled, rn
     assert all(np.array_equal(a, b) for a, b in zip(got[1], confusions))
 
 
+@pytest.mark.parametrize("mode", ["mtln", "frame", "concat", "maxpool"])
+def test_evaluate_mode_standardizes_its_test_stack_in_place(mode, rng):
+    # a 2.6 MB test side: the stack is the one full-size test-side array
+    # (a scaled copy beside it peaked at 2.0x); maxpool adds its (N, 1, d) max
+    from skelclip import MtlnParams
+    from skelclip.experiments import evaluate_mode
+
+    d = 2048
+    groups = [(i % 2, [rng.standard_normal((4, d))]) for i in range(40)]
+    side = sum(f.nbytes for _, samples in groups for f in samples)
+    in_dim = 4 * d if mode == "concat" else d
+    nets = [MtlnParams(W1=rng.standard_normal((in_dim, 8)) * 0.01, b1=np.zeros(8),
+                       W2=rng.standard_normal((8, 2)), b2=np.zeros(2))
+            for _ in range(4 if mode == "frame" else 1)]
+    scaler = FeatureScaler(mean=rng.standard_normal((4, d)), scale=2.0)
+    tracemalloc.start()
+    try:
+        evaluate_mode(mode, nets, groups, 2, scaler)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (1.3 if mode == "maxpool" else 1.25) * side
+
+
 @pytest.mark.parametrize("count", [3, 5, 0])
 def test_evaluate_mode_names_a_wrong_net_count(count, rng):
     from skelclip import MtlnParams

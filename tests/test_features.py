@@ -1,5 +1,6 @@
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,23 @@ def nhwc_reference(x, spec):
         y = np.maximum(col @ w.reshape(w.shape[0], cin * 9).T, 0.0)
         x = y.reshape(b, h // 2, 2, wd // 2, 2, w.shape[0]).max(axis=(2, 4))
     return x
+
+
+def padded_im2col_reference(frame, spec):
+    """The extractor with each stage's input zero-padded by ``np.pad`` and its
+    column matrix filled by nine slices of the padded copy."""
+    x = frame[None]
+    for w in extractor_weights(spec):
+        cin, h, wd = x.shape
+        xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+        col = np.empty((cin, 3, 3, h, wd))
+        for ky, kx in np.ndindex(3, 3):
+            col[:, ky, kx] = xp[:, ky:ky + h, kx:kx + wd]
+        y = (w.reshape(-1, cin * 9) @ col.reshape(cin * 9, h * wd)).reshape(-1, h // 2, 2, wd // 2, 2)
+        x = np.maximum(y[:, :, 0], y[:, :, 1])
+        x = np.maximum(x[..., 0], x[..., 1])
+        np.maximum(x, 0.0, out=x)
+    return x.transpose(1, 2, 0)
 
 
 def pool_oracle(maps):
@@ -218,6 +236,16 @@ def test_full_size_frame_matches_nhwc_reference(rng):
     got = _extract_frame(x[0, ..., 0], spec)
     assert got.shape == (14, 14, 64)
     assert np.abs(got - nhwc_reference(x, spec)[0]).max() <= 1e-10
+
+
+@pytest.mark.parametrize("h, w", [(16, 16), (32, 48), (224, 224)])
+@pytest.mark.parametrize("channels", [4, 64])
+def test_extract_frame_is_byte_equal_to_padded_im2col(h, w, channels):
+    rng = np.random.default_rng(h * w + channels)
+    spec = ExtractorSpec(channels=channels, seed=channels)
+    for frame in (rng.random((h, w)), np.ones((h, w))):  # all ones: every edge tap counts
+        got = _extract_frame(frame, spec)
+        assert got.tobytes() == padded_im2col_reference(frame, spec).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +443,9 @@ def test_feature_map_stack_bad_shape(tmp_path, rng):
 
 
 def stack_pool_reference(stack):
-    """The former ingest: the float32 stack widened to float64, then pooled."""
-    return _pool(stack.astype(np.float64))
+    """The former ingest: the float32 stack widened to float64, rectified,
+    then pooled (``_pool`` itself does not rectify)."""
+    return _pool(np.maximum(stack.astype(np.float64), 0.0))
 
 
 def _ingest(stack):
@@ -449,6 +478,43 @@ def test_paper_size_stack_ingest_is_byte_equal_to_float64_pooling(rng):
     stack[:, :, 1::5] *= -0.0
     stack[..., ::7] *= np.float32(1e-40)  # subnormal
     assert _ingest(stack).tobytes() == stack_pool_reference(stack).tobytes()
+
+
+def _non_finite_stack(cells):
+    stack = np.ones((3, 4, 5, 3, 2), dtype=np.float32)
+    stack[0, 0, 0, 0, 0] = -1.0  # a negative map: the rectifying path runs
+    for (t, j), value in cells.items():
+        stack[1, 2, t, j, 1] = value  # (t, j): row and column of one pooled column's map
+    return stack
+
+
+@pytest.mark.parametrize("cells", [
+    {(0, 0): np.inf, (3, 0): -np.inf},  # both infinities in one pooled column
+    {(0, 1): np.nan, (1, 1): np.inf},
+    {(2, 2): -np.inf},
+    {(4, 1): np.inf},
+], ids=["inf-and-minus-inf", "nan-beside-inf", "minus-inf", "inf"])
+def test_stack_ingest_rejects_non_finite_values_without_a_warning(cells):
+    stack = _non_finite_stack(cells)
+    for s in (stack, np.abs(stack)):  # with and without a negative map
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TensorFormatError,
+                               match=r"^feature-map stack contains non-finite values$"):
+                _ingest(s)
+
+
+def test_stack_with_min_zero_and_negative_zero_columns_gives_the_reference_bytes(rng):
+    # min is exactly 0 (as -0.0 also is), so the maps are not rectified;
+    # all-(-0.0) pooled columns must still come out as +0.0
+    stack = np.abs(rng.standard_normal((3, 4, 6, 5, 4))).astype(np.float32)
+    stack[:, :, :, 1] = -0.0
+    stack[0, 1, :, :, 2] = -0.0
+    stack[2, 3, 0, 0, 0] = 0.0
+    assert stack.min() == 0.0
+    got = _ingest(stack)
+    assert got.tobytes() == stack_pool_reference(stack).tobytes()
+    assert not np.signbit(got).any()
 
 
 def test_stack_ingest_holds_one_copy_of_the_stack(tmp_path, rng):
