@@ -221,8 +221,8 @@ def _protocol_from_config(cfg: ConfigFile) -> tuple[SplitProtocol, int]:
 
 
 def pipeline_from_config(cfg: ConfigFile) -> PipelineConfig:
-    """The config's pipeline; an absent key keeps ``PipelineConfig()``'s value. Each
-    value is checked by the dataclass that owns it, so a rejected value names its key."""
+    """The config's pipeline; an absent key keeps ``PipelineConfig()``'s value. A bad value
+    is refused by its key: by its dataclass, or by ``PipelineConfig`` across keys."""
     base = PipelineConfig()
     clip, ext, train = base.clip_options, base.extractor, base.train
 
@@ -250,7 +250,7 @@ def pipeline_from_config(cfg: ConfigFile) -> PipelineConfig:
         augment_count=get(base, "augment_count", "augment", int),
         augment_seed=get(base, "augment_seed", "augment_seed", int),
         standardize=get(base, "standardize", "standardize", parse_bool),
-        test_average_crops=get(base, "test_average_crops", "test_average_crops", parse_bool),
+        test_average_crops=cfg.get("test_average_crops", parse_bool, base.test_average_crops),
     )
 
 

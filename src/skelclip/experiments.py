@@ -113,6 +113,11 @@ class PipelineConfig:
             self.extractor.check_frame_size(size, size)
         except ValueError as exc:
             raise ValueError(f"size: {exc}") from None
+        if self.augment_count > 0 and size != CROP_SIZE:
+            raise ValueError(f"augment: crop augmentation is defined for {CROP_SIZE}x{CROP_SIZE} "
+                             f"clips; got size {size}")
+        if self.test_average_crops and self.augment_count == 0:
+            raise ValueError("test_average_crops: needs augment > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +193,6 @@ def compute_features(
     """Per-entry ``(plain, crops)`` lists of (4, d) feature arrays: ``plain``
     holds one array per skeleton in the recording, ``crops`` augment_count
     arrays per skeleton."""
-    if config.augment_count > 0 and config.clip_options.size != CROP_SIZE:
-        raise ValueError(
-            f"crop augmentation is defined for {CROP_SIZE}x{CROP_SIZE} clips; "
-            f"got size {config.clip_options.size}"
-        )
 
     def features(cs):
         return stack_time_step_features(build_time_step_features(cs, config.extractor))

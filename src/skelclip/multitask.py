@@ -185,17 +185,6 @@ def _hidden_grad(params: MtlnParams, pre: np.ndarray, delta: np.ndarray) -> np.n
     return (delta @ params.W2.T) * (pre > 0)
 
 
-def _gradients(params: MtlnParams, flat, pre, hidden, delta: np.ndarray) -> Gradients:
-    """Full gradients of the shared network for per-row logit deltas."""
-    g_hidden = _hidden_grad(params, pre, delta)
-    return Gradients(
-        W1=flat.T @ g_hidden,
-        b1=g_hidden.sum(axis=0),
-        W2=hidden.T @ delta,
-        b2=delta.sum(axis=0),
-    )
-
-
 def backward(params: MtlnParams, features: np.ndarray, y: np.ndarray) -> Gradients:
     """Analytic gradient of the summed task losses w.r.t. the shared params.
 
@@ -205,7 +194,9 @@ def backward(params: MtlnParams, features: np.ndarray, y: np.ndarray) -> Gradien
     _check_one_hot(y, params.class_count)
     flat, pre, hidden, z = _forward_batch(params, _as_batch(params, np.asarray(features)[None]))
     delta = softmax(z[0]) - np.asarray(y, dtype=np.float64)[None, :]  # (K, n)
-    return _gradients(params, flat, pre, hidden, delta)
+    g_hidden = _hidden_grad(params, pre, delta)
+    return Gradients(W1=flat.T @ g_hidden, b1=g_hidden.sum(axis=0),
+                     W2=hidden.T @ delta, b2=delta.sum(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +333,12 @@ def predict_multi_sample(
 
 
 def mode_probas(mode: str, nets: Iterable[MtlnParams],
-                x: np.ndarray | Callable[[], np.ndarray]) -> list[np.ndarray]:
-    """Each net's (N, n_classes) probabilities of (N, 4, d) features, checked
-    finite. ``nets`` may be any iterable; it is drawn one net at a time, and
-    no reference to a scored net is kept while the next one is drawn. ``x``
-    may be a function building the features: it is called once per net, after
-    the net is drawn, and its result is dropped before the next draw."""
-    build = x if callable(x) else lambda: x
+                build: Callable[[], np.ndarray]) -> list[np.ndarray]:
+    """Each net's (N, n_classes) probabilities of the (N, 4, d) features
+    ``build()`` returns, checked finite. ``nets`` may be any iterable, drawn one
+    at a time; no scored net is referenced while the next is drawn. ``build`` is
+    called once per net, after the net is drawn, and its result is dropped
+    before the next draw; a caller already holding its features passes ``lambda: x``."""
     count = TASK_COUNT if mode == "frame" else 1
     nets = iter(nets)
 
@@ -396,7 +386,8 @@ class ModeModel:
     def proba(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities (N, n_classes) of unscaled (N, 4, d) features:
         the nets' task-averaged probabilities, averaged over the nets."""
-        return np.mean(mode_probas(self.mode, self.nets, self.scaler.apply(x)), axis=0)
+        x = self.scaler.apply(x)
+        return np.mean(mode_probas(self.mode, self.nets, lambda: x), axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ MAGIC = b"SKTF"
 VERSION = 1
 
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("u1")}
-_CODE_FOR_KIND = {"f": 0, "u": 1}
 
 
 def write_tensor(dest: str | Path | BinaryIO, arr: np.ndarray) -> None:

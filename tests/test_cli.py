@@ -463,6 +463,8 @@ EVAL_CONFIG = (
     # 30 halves once to 15: refused before the manifest is read, by the size asked for
     (("size = 32", "size = 30"),
      "size: frame size 30x30 not halvable through 4 stages: each side must be a multiple of 16"),
+    (("", "augment = 2\n"), "augment: crop augmentation is defined for 224x224 clips; got size 32"),
+    (("", "test_average_crops = true\n"), "test_average_crops: needs augment > 0"),
 ])
 def test_eval_config_faults_name_the_file_and_key(tmp_path, capsys, edit, message):
     old, new = edit
@@ -753,6 +755,14 @@ def test_cli_defaults_are_the_library_defaults(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("protocol = k-fold\nfolds = 2\nmodes = mtln\n")
     assert pipeline_from_config(ConfigFile(cfg, _EVAL_KEYS)) == PipelineConfig()
+
+
+def test_eval_config_averages_crops_when_augment_is_set(tmp_path):
+    # test_average_crops is checked with augment, not against the default augment = 0
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("test_average_crops = true\naugment = 2\n")
+    assert pipeline_from_config(ConfigFile(cfg, _EVAL_KEYS)) == PipelineConfig(
+        augment_count=2, test_average_crops=True)
 
 
 def test_gen_clips_rejects_a_value_range_too_wide_to_scale(tmp_path):

@@ -489,6 +489,10 @@ def test_entry_without_skeleton_fails_naming_it(tiny_dataset, tiny_protocol):
 
 
 def test_augmentation_size_guard(tiny_dataset, tiny_protocol):
+    # the rule is the config's own: it is refused before any entry is loaded
+    with pytest.raises(ValueError, match="^augment: crop augmentation is defined for "
+                                         "224x224 clips; got size 32$"):
+        PipelineConfig(clip_options=ClipOptions(size=32), augment_count=2)
     manifest, loader = tiny_dataset
     with pytest.raises((ValueError, StageError), match="224"):
         run_experiment(
