@@ -36,7 +36,7 @@ from .features import (
     load_feature_map_stack,
     stack_time_step_features,
 )
-from .layouts import load_layout
+from .layouts import FIGURE2_16, load_layout
 from .multitask import (
     MODES,
     TASK_COUNT,
@@ -143,6 +143,8 @@ def _read_features(path: Path, stage: str, width: int | None = None) -> np.ndarr
 
 
 def _cmd_train(args) -> int:
+    if args.classes is not None and args.classes < 1:
+        raise StageError("train", f"--classes: expected a class count >= 1, got {args.classes}")
     # train reads features, never sequences, so the manifest's layout goes unused
     with _stage("manifest", args.manifest):
         manifest = parse_manifest(Path(args.manifest).read_text(encoding="utf-8"),
@@ -196,28 +198,19 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-_EVAL_KEYS = (
-    "layout", "manifest", "classes", "modes",
-    "protocol", "split_seed", "folds",
-    "train_subjects", "test_subjects", "train_cameras", "test_cameras",
-    "coords", "scale", "size", "channels", "extractor_seed",
-    "lr", "batch", "epochs", "train_seed", "hidden",
-    "augment", "augment_seed", "standardize", "test_average_crops",
-)
-
-
 def _protocol_from_config(cfg: ConfigFile) -> tuple[SplitProtocol, int]:
+    """The split protocol and its seed; each protocol reads only its own keys."""
     kind = cfg.get("protocol", str, "cross-subject")
-    split_seed = cfg.get("split_seed", int, 0)
     if kind == "k-fold":
-        return SplitProtocol(kind="k-fold", fold_count=cfg.get("folds", int, 5)), split_seed
+        return (SplitProtocol(kind="k-fold", fold_count=cfg.get("folds", int, 5)),
+                cfg.get("split_seed", int, 0))
     if kind not in ("cross-subject", "cross-view"):
         raise ValueError(f"protocol: expected cross-subject, cross-view or k-fold, got {kind!r}")
     ids = "subjects" if kind == "cross-subject" else "cameras"
     train_ids, test_ids = (
         frozenset(cfg.get(f"{side}_{ids}", parse_int_list)) for side in ("train", "test")
     )
-    return SplitProtocol(kind=kind, train_ids=train_ids, test_ids=test_ids), split_seed
+    return SplitProtocol(kind=kind, train_ids=train_ids, test_ids=test_ids), 0
 
 
 def pipeline_from_config(cfg: ConfigFile) -> PipelineConfig:
@@ -230,6 +223,8 @@ def pipeline_from_config(cfg: ConfigFile) -> PipelineConfig:
         return cfg.get(key, lambda v: getattr(replace(owner, **{field: convert(v)}), field),
                        getattr(owner, field))
 
+    augment = get(base, "augment_count", "augment", int)
+    seed = get(base, "augment_seed", "augment_seed", int) if augment > 0 else base.augment_seed
     return PipelineConfig(
         clip_options=ClipOptions(
             coords=get(clip, "coords", "coords", str),
@@ -247,8 +242,8 @@ def pipeline_from_config(cfg: ConfigFile) -> PipelineConfig:
             seed=get(train, "seed", "train_seed", int),
             hidden=get(train, "hidden", "hidden", int),
         ),
-        augment_count=get(base, "augment_count", "augment", int),
-        augment_seed=get(base, "augment_seed", "augment_seed", int),
+        augment_count=augment,
+        augment_seed=seed,
         standardize=get(base, "standardize", "standardize", parse_bool),
         test_average_crops=cfg.get("test_average_crops", parse_bool, base.test_average_crops),
     )
@@ -262,15 +257,17 @@ def _parse_modes(value: str) -> list[str]:
 
 
 def _cmd_eval(args) -> int:
-    cfg = ConfigFile(args.config, _EVAL_KEYS)
-    with cfg.checking():
+    cfg = ConfigFile(args.config)
+    with cfg.checking():  # every key is read here, before the manifest
         protocol, split_seed = _protocol_from_config(cfg)
         config = pipeline_from_config(cfg)
-    modes = cfg.get("modes", _parse_modes, ["mtln"])
-    layout = load_layout(cfg.get("layout", str, "figure2-16"))
-    data = Path(args.data)
-    manifest_path = data / cfg.get("manifest", str, "manifest.txt")
-    class_count = cfg.get("classes", int, None)
+        modes = cfg.get("modes", _parse_modes, ["mtln"])
+        layout = cfg.get("layout", load_layout, FIGURE2_16)
+        data = Path(args.data)
+        manifest_path = data / cfg.get("manifest", str, "manifest.txt")
+        class_count = cfg.get("classes", int, None)
+        if class_count is not None and class_count < 1:
+            raise ValueError(f"classes: expected a class count >= 1, got {class_count}")
     with _stage("manifest", manifest_path):
         manifest = parse_manifest(
             manifest_path.read_text(encoding="utf-8"), layout, class_count=class_count

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Collection
+from typing import Any, Callable
 
 from .errors import ParseError
 
@@ -36,26 +36,25 @@ _REQUIRED = object()
 
 
 class ConfigFile:
-    """A config file checked against the keys it may hold.
+    """A config file whose keys are the ones its reader asks ``get`` for.
 
-    Every failure is a ParseError naming the file: a malformed line, a key
-    outside ``known``, through ``get`` a missing or unconvertible value,
-    which also names the key, and inside ``checking`` a rejected value.
+    Every failure is a ParseError naming the file: a malformed line, through
+    ``get`` a missing or unconvertible value, which also names the key, and
+    inside ``checking`` a rejected value, then any key that no ``get`` read.
     """
 
-    def __init__(self, path: str | Path, known: Collection[str]):
+    def __init__(self, path: str | Path):
         self.path = path
+        self._read: set[str] = set()
         try:
             self.values = parse_kv(Path(path).read_text(encoding="utf-8"))
         except (ParseError, UnicodeDecodeError) as exc:
             raise ParseError(f"{path}: {exc}") from None
-        unknown = sorted(self.values.keys() - set(known))
-        if unknown:
-            raise ParseError(f"{path}: unknown key {', '.join(unknown)}")
 
     def get(self, key: str, convert: Callable[[str], Any] = str, default: Any = _REQUIRED):
         """``convert(value)``, or ``default`` when the key is absent; a key
         without a default is required."""
+        self._read.add(key)
         if key not in self.values:
             if default is _REQUIRED:
                 raise ParseError(f"{self.path}: missing key {key}")
@@ -67,14 +66,17 @@ class ConfigFile:
 
     @contextmanager
     def checking(self):
-        """Re-raise a ValueError from checks on the converted values (a
-        dataclass rejecting a range, say) as a ParseError naming the file."""
+        """Re-raise a ValueError from checks on the converted values as a
+        ParseError naming the file; on a normal exit, refuse the unread keys."""
         try:
             yield
         except ParseError:
             raise
         except ValueError as exc:
             raise ParseError(f"{self.path}: {exc}") from None
+        unknown = sorted(self.values.keys() - self._read)
+        if unknown:
+            raise ParseError(f"{self.path}: unknown key {', '.join(unknown)}")
 
 
 def parse_bool(value: str) -> bool:

@@ -103,7 +103,7 @@ def load_layout(source: str | Path) -> JointLayout:
         return BUILTIN_LAYOUTS[source]
     if not Path(source).exists():
         raise ValueError(f"unknown layout {str(source)!r}: not a built-in name or config file")
-    cfg = ConfigFile(source, ("name", "joint_count", "chain", "reference_joints"))
+    cfg = ConfigFile(source)
     with cfg.checking():
         return JointLayout(
             name=cfg.get("name"),

@@ -28,7 +28,7 @@ from skelclip import (
     write_canonical,
     write_tensor,
 )
-from skelclip.cli import _EVAL_KEYS, _feature_files_for, build_parser, main, pipeline_from_config
+from skelclip.cli import _feature_files_for, build_parser, main, pipeline_from_config
 from skelclip.config import ConfigFile
 from skelclip.experiments import PipelineConfig
 from skelclip.features import ExtractorSpec
@@ -465,6 +465,14 @@ EVAL_CONFIG = (
      "size: frame size 30x30 not halvable through 4 stages: each side must be a multiple of 16"),
     (("", "augment = 2\n"), "augment: crop augmentation is defined for 224x224 clips; got size 32"),
     (("", "test_average_crops = true\n"), "test_average_crops: needs augment > 0"),
+    # a key counts only if the chosen settings read it
+    (("", "folds = 3\nsplit_seed = 1\ntrain_cameras = 0\n"),
+     "unknown key folds, split_seed, train_cameras"),
+    (("protocol = cross-subject", "protocol = k-fold"), "unknown key test_subjects, train_subjects"),
+    (("", "augment_seed = 1\n"), "unknown key augment_seed"),
+    (("layout = figure2-16", "layout = figure9"),
+     "layout: unknown layout 'figure9': not a built-in name or config file"),
+    (("", "classes = 0\n"), "classes: expected a class count >= 1, got 0"),
 ])
 def test_eval_config_faults_name_the_file_and_key(tmp_path, capsys, edit, message):
     old, new = edit
@@ -693,6 +701,16 @@ def test_train_manifest_fault_names_the_manifest(tmp_path, capsys):
         f"skelclip: [manifest] {manifest}: line 1: expected 4 fields, got 3\n")
 
 
+def test_train_refuses_a_class_count_below_one_by_its_flag(tmp_path, capsys):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("a.json 0 - -\n")
+    assert run_cli("train", "--features", tmp_path, "--manifest", manifest, "--classes", 0,
+                   "--out", tmp_path / "m.sktf") == 1
+    assert capsys.readouterr().err == (
+        "skelclip: [train] --classes: expected a class count >= 1, got 0\n")
+    assert not (tmp_path / "m.sktf").exists()
+
+
 def test_one_parser_per_process_leaks_nothing_between_calls(synth_dir, tmp_path, capsys):
     assert build_parser() is build_parser()
     src = sorted(synth_dir.glob("*.json"))[0]
@@ -754,14 +772,14 @@ def test_cli_defaults_are_the_library_defaults(tmp_path):
                        args["hidden"]) == TrainConfig()
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("protocol = k-fold\nfolds = 2\nmodes = mtln\n")
-    assert pipeline_from_config(ConfigFile(cfg, _EVAL_KEYS)) == PipelineConfig()
+    assert pipeline_from_config(ConfigFile(cfg)) == PipelineConfig()
 
 
 def test_eval_config_averages_crops_when_augment_is_set(tmp_path):
     # test_average_crops is checked with augment, not against the default augment = 0
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("test_average_crops = true\naugment = 2\n")
-    assert pipeline_from_config(ConfigFile(cfg, _EVAL_KEYS)) == PipelineConfig(
+    assert pipeline_from_config(ConfigFile(cfg)) == PipelineConfig(
         augment_count=2, test_average_crops=True)
 
 
